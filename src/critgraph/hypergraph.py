@@ -44,10 +44,38 @@ class Hypergraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(canon))
 
+    def __getstate__(self) -> dict:
+        # Only the fields: cached views stay out of pickles, so equal
+        # hypergraphs pickle to equal bytes whatever has been computed.
+        return {"n": self.n, "edges": self.edges}
+
     @cached_property
     def edge_masks(self) -> tuple[int, ...]:
         """Each edge as a vertex bitmask (bit v set iff v in the edge)."""
         return tuple(sum(1 << v for v in e) for e in self.edges)
+
+    @cached_property
+    def incidence(self) -> tuple[int, ...]:
+        """Each vertex as an edge bitset (bit i set iff v in edge i)."""
+        inc = [0] * self.n
+        for i, e in enumerate(self.edges):
+            bit = 1 << i
+            for v in e:
+                inc[v] |= bit
+        return tuple(inc)
+
+    @cached_property
+    def edge_conflicts(self) -> tuple[int, ...]:
+        """Each edge as the edge bitset of the edges meeting it, itself
+        included: the OR of the incidence bitsets of its vertices."""
+        inc = self.incidence
+        out = []
+        for e in self.edges:
+            conflict = 0
+            for v in e:
+                conflict |= inc[v]
+            out.append(conflict)
+        return tuple(out)
 
     def uniformity(self) -> int | None:
         """Common edge size, or None if sizes differ or there are no edges."""

@@ -201,24 +201,45 @@ def edge_bound_check(h: Hypergraph, s: int) -> tuple[bool, tuple[tuple[int, ...]
     return worst_count <= bound, (worst, worst_count)
 
 
+ENUMERATION_CAP = 6_000_000
+
+
+def candidate_edges(n: int, sizes: set[int]) -> list[tuple[int, ...]]:
+    """Every possible edge on n vertices with a size in `sizes`, sorted."""
+    out: list[tuple[int, ...]] = []
+    for size in sorted(sizes):
+        if 1 <= size <= n:
+            out.extend(combinations(range(n), size))
+    out.sort()
+    return out
+
+
+def require_within_cap(ns, max_edges: int, sizes: set[int], cap: int = ENUMERATION_CAP) -> None:
+    """Raise CapExceeded unless enumerating every labelled hypergraph with
+    at most max_edges edges of the given sizes, summed over every vertex
+    count in ns, stays within cap. Arithmetic only: nothing is enumerated."""
+    total = 0
+    for n in ns:
+        count = sum(math.comb(n, size) for size in sizes if 1 <= size <= n)
+        total += sum(math.comb(count, j) for j in range(min(max_edges, count) + 1))
+    if total > cap:
+        raise CapExceeded(f"{total} hypergraphs exceeds cap {cap}")
+
+
 def enumerate_hypergraphs(
     n: int,
     max_edges: int,
     sizes: set[int],
-    cap: int = 6_000_000,
+    cap: int = ENUMERATION_CAP,
 ):
     """All labelled hypergraphs on n vertices with at most max_edges edges
     drawn from the given size classes, in canonical order (by edge count,
-    then lexicographic edge combination)."""
-    candidates: list[tuple[int, ...]] = []
-    for size in sorted(sizes):
-        if 1 <= size <= n:
-            candidates.extend(combinations(range(n), size))
-    candidates.sort()
-    top = min(max_edges, len(candidates))
-    total = sum(math.comb(len(candidates), j) for j in range(top + 1))
-    if total > cap:
-        raise CapExceeded(f"{total} hypergraphs exceeds cap {cap}")
-    for count in range(top + 1):
-        for chosen in combinations(candidates, count):
-            yield Hypergraph(n, chosen)
+    then lexicographic edge combination). The cap is checked at the call,
+    before anything is enumerated."""
+    require_within_cap([n], max_edges, sizes, cap)
+    candidates = candidate_edges(n, sizes)
+    return (
+        Hypergraph(n, chosen)
+        for count in range(min(max_edges, len(candidates)) + 1)
+        for chosen in combinations(candidates, count)
+    )

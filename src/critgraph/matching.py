@@ -1,12 +1,23 @@
 """Exact perfect-matching search in uniform hypergraphs.
 
-The search is a recursive set-cover over vertex bitmasks: always branch on
-the uncovered vertex with the fewest still-available hyperedges, and fail
-a state as soon as some uncovered vertex has no available edge. Divisibility
-of the uncovered count by the uniformity is checked once up front and then
-preserved, since every step removes exactly one full edge. Complete: it
-never misses an existing matching. A wall-clock budget separates "no
-matching exists" from "gave up searching".
+A perfect matching is an exact cover of the vertices by hyperedges, found
+with Knuth's Algorithm X and its minimum-column rule (D. E. Knuth, "Dancing
+Links", arXiv cs/0011047): branch on the lowest uncovered vertex with the
+fewest live edges, trying them in ascending index, and fail a state as
+soon as some uncovered vertex has none. Complete: it never misses an
+existing matching.
+
+Instead of linked lists the search state is two bitsets, the uncovered
+vertices and the live edges (those lying inside the uncovered set). The
+index it works on is cached on the Hypergraph and built once however many
+searches run: per vertex, the bitset of incident edges, and per edge, its
+conflict bitset of every edge meeting it. A column size is then one AND
+and one bit count, choosing an edge clears its conflicts from the live
+set, and deleting a vertex starts from every edge minus its incidence
+bitset. Divisibility of the uncovered count by the uniformity is checked
+once up front and then preserved, since every step removes exactly one
+full edge. A wall-clock budget per search separates "no matching exists"
+from "gave up searching".
 """
 
 from __future__ import annotations
@@ -58,57 +69,48 @@ def _uniformity_or_raise(h: Hypergraph) -> int | None:
 
 
 def _cover_search(
-    edge_masks: list[int],
-    target_mask: int,
-    s: int,
-    deadline: float | None,
+    h: Hypergraph, uncovered: int, alive: int, deadline: float | None
 ) -> list[int] | None:
-    """Indices of pairwise-disjoint edges whose union is exactly
-    target_mask, or None. Edges must already lie inside target_mask."""
-    n_bits = target_mask.bit_count()
-    if n_bits % s != 0:
-        return None
-
-    incident: dict[int, list[int]] = {}
-    v = target_mask
-    while v:
-        bit = v & -v
-        incident[bit] = []
-        v ^= bit
-    for idx, mask in enumerate(edge_masks):
-        m = mask
-        while m:
-            bit = m & -m
-            incident[bit].append(idx)
-            m ^= bit
-
+    """Indices of pairwise-disjoint edges of h whose union is exactly the
+    vertex bitset `uncovered`, or None. `alive` is the edge bitset of the
+    edges lying inside `uncovered`; the caller guarantees that the size of
+    `uncovered` is a multiple of the uniformity."""
+    masks = h.edge_masks
+    incidence = h.incidence
+    conflicts = h.edge_conflicts
+    more_than_any = len(masks) + 1
     chosen: list[int] = []
 
-    def recurse(uncovered: int) -> bool:
+    def recurse(uncovered: int, alive: int) -> bool:
         if uncovered == 0:
             return True
         if deadline is not None and time.monotonic() > deadline:
             raise SearchBudgetExceeded
-        # Branch on the most constrained uncovered vertex.
-        best_edges: list[int] | None = None
+        # Branch on the lowest uncovered vertex with the fewest live edges.
+        fewest = more_than_any
+        best = 0
         m = uncovered
         while m:
             bit = m & -m
             m ^= bit
-            avail = [i for i in incident[bit] if edge_masks[i] & ~uncovered == 0]
-            if best_edges is None or len(avail) < len(best_edges):
-                best_edges = avail
-                if not avail:
+            live = incidence[bit.bit_length() - 1] & alive
+            count = live.bit_count()
+            if count < fewest:
+                if not count:
                     return False
-        assert best_edges is not None
-        for i in best_edges:
+                fewest = count
+                best = live
+        while best:
+            bit = best & -best
+            best ^= bit
+            i = bit.bit_length() - 1
             chosen.append(i)
-            if recurse(uncovered & ~edge_masks[i]):
+            if recurse(uncovered ^ masks[i], alive & ~conflicts[i]):
                 return True
             chosen.pop()
         return False
 
-    return chosen if recurse(target_mask) else None
+    return chosen if recurse(uncovered, alive) else None
 
 
 def find_perfect_matching(h: Hypergraph, budget: float | None = 10.0) -> Matching | None:
@@ -123,8 +125,8 @@ def find_perfect_matching(h: Hypergraph, budget: float | None = 10.0) -> Matchin
     if h.n % s != 0:
         return None
     deadline = None if budget is None else time.monotonic() + budget
-    full = (1 << h.n) - 1
-    picked = _cover_search(list(h.edge_masks), full, s, deadline)
+    everything = (1 << len(h.edges)) - 1
+    picked = _cover_search(h, (1 << h.n) - 1, everything, deadline)
     if picked is None:
         return None
     return Matching(h.edges[i] for i in picked)
@@ -142,13 +144,13 @@ def find_matching_avoiding(
         return Matching(())
     if s is None or (h.n - 1) % s != 0:
         return None
-    target = ((1 << h.n) - 1) & ~(1 << v)
-    keep = [(m, e) for m, e in zip(h.edge_masks, h.edges) if not m & (1 << v)]
+    target = ((1 << h.n) - 1) ^ (1 << v)
+    alive = ((1 << len(h.edges)) - 1) & ~h.incidence[v]
     deadline = None if budget is None else time.monotonic() + budget
-    picked = _cover_search([m for m, _ in keep], target, s, deadline)
+    picked = _cover_search(h, target, alive, deadline)
     if picked is None:
         return None
-    return Matching(keep[i][1] for i in picked)
+    return Matching(h.edges[i] for i in picked)
 
 
 def all_deletions_matchable(

@@ -19,9 +19,11 @@ from .hypergraph import Hypergraph
 from .lemmas import (
     CounterexampleFound,
     HypothesisNotMet,
+    candidate_edges,
     edge_bound_check,
     enumerate_hypergraphs,
     find_small_cut,
+    require_within_cap,
 )
 from .matching import find_perfect_matching
 from .sampling import derive_seed
@@ -49,15 +51,6 @@ class SuiteReport:
         }
 
 
-def _candidate_edges(n: int, sizes: set[int]) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    for size in sorted(sizes):
-        if 1 <= size <= n:
-            out.extend(combinations(range(n), size))
-    out.sort()
-    return out
-
-
 def connected_bound_suite(
     max_n: int = 6, max_edges: int = 5, sizes: set[int] | None = None
 ) -> SuiteReport:
@@ -66,13 +59,15 @@ def connected_bound_suite(
 
     Works on raw edge masks instead of Hypergraph values: the full
     enumeration for n = 6 covers a few million instances and the check is
-    pure arithmetic plus a component merge.
+    pure arithmetic plus a component merge. Raises CapExceeded before
+    enumerating anything when the whole request is past the cap.
     """
     sizes = sizes or {2, 3, 4}
+    require_within_cap(range(1, max_n + 1), max_edges, sizes)
     report = SuiteReport("obs1")
     for n in range(1, max_n + 1):
         full = (1 << n) - 1
-        cands = [(sum(1 << v for v in e), len(e), e) for e in _candidate_edges(n, sizes)]
+        cands = [(sum(1 << v for v in e), len(e), e) for e in candidate_edges(n, sizes)]
         for count in range(min(max_edges, len(cands)) + 1):
             for chosen in combinations(cands, count):
                 union = 0
@@ -107,8 +102,10 @@ def small_cut_suite(
     """find_small_cut returns a valid witness of size <= 2 on every
     labelled hypergraph within the caps that has V not an edge and
     satisfies the span condition; witness validity is re-verified against
-    the full 2-section inside find_small_cut itself."""
+    the full 2-section inside find_small_cut itself. Raises CapExceeded
+    before enumerating anything when the whole request is past the cap."""
     sizes = sizes or {2, 3}
+    require_within_cap(range(min_n, max_n + 1), max_edges, sizes)
     report = SuiteReport("blocks")
     for n in range(min_n, max_n + 1):
         for h in enumerate_hypergraphs(n, max_edges, sizes):

@@ -16,6 +16,7 @@ from critgraph.certformat import (
     read_certificate,
     write_sweep_csv,
 )
+from critgraph import suites
 from critgraph.certify import verify_construction
 from critgraph.cli import main, run_construct_search
 from critgraph.hypergraph import Graph
@@ -118,8 +119,16 @@ def test_cli_lemma_check_pass():
     assert main(["lemma-check", "--suite", "edgebound", "--count", "25"]) == 0
 
 
-def test_cli_lemma_check_cap_exceeded():
+def test_cli_lemma_check_cap_exceeded(monkeypatch):
+    # The whole request is measured before the first instance is checked.
+    checked = []
+    monkeypatch.setattr(suites, "find_small_cut", checked.append)
     assert main(["lemma-check", "--suite", "blocks", "--max-n", "8", "--max-edges", "8"]) == 3
+    assert checked == []
+
+
+def test_cli_lemma_check_obs1_cap_exceeded():
+    assert main(["lemma-check", "--suite", "obs1", "--max-n", "9", "--max-edges", "9"]) == 3
 
 
 def test_cli_sweep_csv_deterministic(tmp_path):
