@@ -32,7 +32,6 @@ from .sampling import (
     ConstructionParams,
     derive_params,
     pm_threshold_sweep,
-    sample_amplified,
     sample_hypergraph,
     shamir_p,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "min_subset_edges",
     "pm_threshold_sweep",
     "restrict",
-    "sample_amplified",
     "sample_hypergraph",
     "shamir_p",
     "two_section",

@@ -101,98 +101,130 @@ def write_certificate(cert: Certificate, path: str | Path, search: dict | None =
     Path(path).write_text(certificate_to_json(cert, search=search))
 
 
-def _require(doc: dict, key: str, kinds) -> object:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# JSON kinds a field may have: (description, test).
+_INT = ("an integer", _is_int)
+_NUMBER = ("a number", lambda v: _is_int(v) or isinstance(v, float))
+_BOOL = ("a boolean", lambda v: isinstance(v, bool))
+_STR = ("a string", lambda v: isinstance(v, str))
+_OBJECT = ("an object", lambda v: isinstance(v, dict))
+_LIST = ("a list", lambda v: isinstance(v, list))
+_INTS = ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v)))
+_INT_ROWS = (
+    "a list of integer lists",
+    lambda v: isinstance(v, list) and all(_INTS[1](row) for row in v),
+)
+
+
+def _read(doc: dict, key: str, kind, where: str = "", nullable: bool = False):
+    """doc[key], which must be present and of the given kind (or null when
+    nullable); anything else is a CertificateFormatError naming the field."""
+    name = f"{where}.{key}" if where else key
     if key not in doc:
-        raise CertificateFormatError(f"missing field {key!r}")
+        raise CertificateFormatError(f"missing field {name!r}")
     value = doc[key]
-    if not isinstance(value, kinds):
-        raise CertificateFormatError(f"field {key!r} has wrong type {type(value).__name__}")
+    if value is None and nullable:
+        return None
+    description, ok = kind
+    if not ok(value):
+        got = "null" if value is None else type(value).__name__
+        raise CertificateFormatError(f"field {name!r} must be {description}, got {got}")
     return value
 
 
+def _built(what: str, make):
+    """make(), with the ValueError of a violated value invariant reported
+    as a format error."""
+    try:
+        return make()
+    except ValueError as err:
+        raise CertificateFormatError(f"bad {what}: {err}") from err
+
+
 def certificate_from_dict(doc: dict) -> Certificate:
+    """Decode a certificate document. Every field is type-checked before
+    use, so malformed input raises CertificateFormatError and nothing else."""
     if not isinstance(doc, dict):
         raise CertificateFormatError("certificate document must be an object")
-    version = _require(doc, "schema_version", int)
+    version = _read(doc, "schema_version", _INT)
     if version != SCHEMA_VERSION:
         raise CertificateFormatError(f"unsupported schema version {version}")
 
-    raw_params = _require(doc, "params", dict)
-    try:
-        params = ConstructionParams(
-            r=int(raw_params["r"]),
-            s=int(raw_params["s"]),
-            m=int(raw_params["m"]),
-            k=int(raw_params["k"]),
-            n=int(raw_params["n"]),
-            C=float(raw_params["C"]),
-            l=int(raw_params["l"]),
-            p=float(raw_params["p"]),
-            q=float(raw_params["q"]),
-        )
-    except (KeyError, TypeError, ValueError) as err:
-        raise CertificateFormatError(f"bad params: {err}") from err
+    raw_params = _read(doc, "params", _OBJECT)
+    ints = {key: _read(raw_params, key, _INT, "params") for key in ("r", "s", "m", "k", "n", "l")}
+    floats = {key: float(_read(raw_params, key, _NUMBER, "params")) for key in ("C", "p", "q")}
+    params = _built("params", lambda: ConstructionParams(**ints, **floats))
 
-    try:
-        raw_h = _require(doc, "hypergraph", dict)
-        hypergraph = Hypergraph(int(raw_h["n"]), [tuple(e) for e in raw_h["edges"]])
-        raw_g = _require(doc, "graph", dict)
-        graph = Graph(int(raw_g["n"]), [tuple(e) for e in raw_g["edges"]])
-    except (KeyError, TypeError, ValueError) as err:
-        raise CertificateFormatError(f"bad combinatorial data: {err}") from err
+    raw_h = _read(doc, "hypergraph", _OBJECT)
+    h_n = _read(raw_h, "n", _INT, "hypergraph")
+    h_edges = _read(raw_h, "edges", _INT_ROWS, "hypergraph")
+    hypergraph = _built("hypergraph", lambda: Hypergraph(h_n, h_edges))
+    raw_g = _read(doc, "graph", _OBJECT)
+    g_n = _read(raw_g, "n", _INT, "graph")
+    g_edges = _read(raw_g, "edges", _INT_ROWS, "graph")
+    graph = _built("graph", lambda: Graph(g_n, g_edges))
 
     matchability = None
-    if doc.get("matchability") is not None:
-        raw_m = _require(doc, "matchability", dict)
+    raw_m = _read(doc, "matchability", _OBJECT, nullable=True)
+    if raw_m is not None:
         per_vertex: dict[int, VertexOutcome] = {}
-        for entry in raw_m.get("per_vertex", []):
+        for entry in _read(raw_m, "per_vertex", _LIST, "matchability"):
             if not isinstance(entry, dict):
                 raise CertificateFormatError("per_vertex entries must be objects")
-            v = int(entry["vertex"])
-            status = entry["status"]
+            where = "matchability.per_vertex[]"
+            v = _read(entry, "vertex", _INT, where)
+            status = _read(entry, "status", _STR, where)
             if status not in _STATUSES:
                 raise CertificateFormatError(f"unknown matching status {status!r}")
+            raw_witness = _read(entry, "matching", _INT_ROWS, where, nullable=True)
             witness = None
-            if entry.get("matching") is not None:
+            if raw_witness is not None:
                 try:
-                    witness = Matching(tuple(tuple(e) for e in entry["matching"]))
+                    witness = Matching(raw_witness)
                 except ValueError:
                     # Keep parsing: the semantic checker reports the broken
                     # witness instead of refusing the whole document.
                     status = CORRUPT
             per_vertex[v] = VertexOutcome(status=status, matching=witness)
         matchability = MatchabilityReport(
-            per_vertex=per_vertex, all_matchable=bool(raw_m.get("all_matchable"))
+            per_vertex=per_vertex,
+            all_matchable=_read(raw_m, "all_matchable", _BOOL, "matchability"),
         )
 
     sparsity = None
-    if doc.get("sparsity") is not None:
-        raw_s = _require(doc, "sparsity", dict)
+    raw_s = _read(doc, "sparsity", _OBJECT, nullable=True)
+    if raw_s is not None:
         violator = None
-        if raw_s.get("violator") is not None:
+        raw_v = _read(raw_s, "violator", _OBJECT, "sparsity", nullable=True)
+        if raw_v is not None:
             violator = Violator(
-                edge_indices=tuple(int(i) for i in raw_s["violator"]["edge_indices"]),
-                spanned=int(raw_s["violator"]["spanned"]),
+                edge_indices=tuple(_read(raw_v, "edge_indices", _INTS, "sparsity.violator")),
+                spanned=_read(raw_v, "spanned", _INT, "sparsity.violator"),
             )
         sparsity = SparsityVerdict(
-            holds=bool(raw_s["holds"]), violator=violator, m=int(raw_s["m"]), s=int(raw_s["s"])
+            holds=_read(raw_s, "holds", _BOOL, "sparsity"),
+            violator=violator,
+            m=_read(raw_s, "m", _INT, "sparsity"),
+            s=_read(raw_s, "s", _INT, "sparsity"),
         )
 
     subset = None
-    if doc.get("min_subset_edges") is not None:
-        raw_c = _require(doc, "min_subset_edges", dict)
+    raw_c = _read(doc, "min_subset_edges", _OBJECT, nullable=True)
+    if raw_c is not None:
         subset = SubsetEdgeCount(
-            count=int(raw_c["count"]),
-            witness=tuple(int(v) for v in raw_c["witness"]),
-            exact=bool(raw_c["exact"]),
+            count=_read(raw_c, "count", _INT, "min_subset_edges"),
+            witness=tuple(_read(raw_c, "witness", _INTS, "min_subset_edges")),
+            exact=_read(raw_c, "exact", _BOOL, "min_subset_edges"),
         )
 
-    raw_conc = _require(doc, "conclusions", dict)
-    chi = raw_conc.get("chi")
+    raw_conc = _read(doc, "conclusions", _OBJECT)
     conclusions = Conclusions(
-        chi=None if chi is None else int(chi),
-        vertex_critical=bool(raw_conc["vertex_critical"]),
-        robust_to_r=bool(raw_conc["robust_to_r"]),
+        chi=_read(raw_conc, "chi", _INT, "conclusions", nullable=True),
+        vertex_critical=_read(raw_conc, "vertex_critical", _BOOL, "conclusions"),
+        robust_to_r=_read(raw_conc, "robust_to_r", _BOOL, "conclusions"),
     )
 
     return Certificate(
@@ -203,20 +235,22 @@ def certificate_from_dict(doc: dict) -> Certificate:
         sparsity=sparsity,
         min_subset_edges=subset,
         conclusions=conclusions,
-        seed=int(_require(doc, "seed", int)),
-        tool_version=str(_require(doc, "tool_version", str)),
+        seed=_read(doc, "seed", _INT),
+        tool_version=_read(doc, "tool_version", _STR),
     )
 
 
 def read_certificate(path: str | Path) -> Certificate:
     try:
         text = Path(path).read_text()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise CertificateFormatError(f"cannot read {path}: {err}") from err
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an integer past the digit limit
         raise CertificateFormatError(f"invalid JSON: {err}") from err
+    except RecursionError as err:
+        raise CertificateFormatError("invalid JSON: nested too deeply") from err
     return certificate_from_dict(doc)
 
 

@@ -23,7 +23,7 @@ verdict is universal and is re-checked in full.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .chromatic import exact_chromatic, exact_independence
 from .hypergraph import Graph, Hypergraph, complement, two_section
@@ -366,7 +366,3 @@ def cross_check_with_oracles(
     if cert.conclusions.robust_to_r and g.n <= independence_cap:
         results["independence"] = exact_independence(g, cap=independence_cap) <= cert.params.s
     return results
-
-
-def rewrite_seed(cert: Certificate, seed: int) -> Certificate:
-    return replace(cert, seed=seed)

@@ -52,7 +52,13 @@ class Hypergraph:
     @cached_property
     def edge_masks(self) -> tuple[int, ...]:
         """Each edge as a vertex bitmask (bit v set iff v in the edge)."""
-        return tuple(sum(1 << v for v in e) for e in self.edges)
+        out = []
+        for e in self.edges:
+            mask = 0
+            for v in e:
+                mask |= 1 << v
+            out.append(mask)
+        return tuple(out)
 
     @cached_property
     def incidence(self) -> tuple[int, ...]:
@@ -86,13 +92,6 @@ class Hypergraph:
 
     def is_uniform(self, s: int) -> bool:
         return all(len(e) == s for e in self.edges)
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for e in self.edges:
-            for v in e:
-                deg[v] += 1
-        return deg
 
 
 @dataclass(frozen=True)

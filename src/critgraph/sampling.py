@@ -5,12 +5,33 @@ Randomness comes from numpy's Philox counter-based generator: the seed and
 draw order fully determine every sample, on any platform, so certificates
 are reproducible bit for bit. Derived streams (per restart, per sweep cell)
 are split off the base seed with SeedSequence spawn keys.
+
+A sample is a list of candidate-edge ranks in [0, C(n, s)), found by
+geometric skipping, then unranked to lexicographic s-subsets:
+
+- Uniforms come from one stream per sample, drawn in chunks of _CHUNK
+  doubles. Philox yields the same doubles in blocks as one at a time, and
+  the coupled family takes its thresholds from the same stream right after
+  the ranks, so every value lands where a scalar draw would have put it.
+- Each skip is int(math.log(1 - u) / math.log1p(-p)), one double at a
+  time: math.log is the C library's log, which every recorded sample
+  used; numpy's vectorised log has its own SIMD kernels on some
+  platforms, may round the last bit differently, and so could move a rank.
+- Unranking looks each coordinate up with one bisect on a per-(n, s) table
+  of cumulative lexicographic offsets, built once and cached. Ranks stay
+  exact Python integers, so C(n, s) beyond 2**63 is fine.
+
+So the edges, and every sweep table and certificate built on them, do not
+depend on the chunk size or on how the subsets are unranked.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,6 +41,11 @@ from .hypergraph import Hypergraph
 #: does not override C. Twice the sharp constant trades sample density for
 #: better odds of matchability at small vertex counts.
 DEFAULT_C_FACTOR = 2.0
+
+# Uniforms drawn per call to the generator. Philox yields the same doubles
+# whether they are drawn one at a time or in blocks, so this only trades a
+# little over-draw at the end of a sample for fewer generator calls.
+_CHUNK = 1024
 
 
 def default_constant(s: int) -> float:
@@ -56,17 +82,32 @@ class ConstructionParams:
             raise ValueError(f"target chromatic number k must be >= 2, got {self.k}")
         if self.C <= 0:
             raise ValueError(f"threshold constant C must be positive, got {self.C}")
+        # Decoded certificates can hold any integers, so no power or float
+        # conversion is formed before a cheap test bounds its size.
+        l_ok = self.n > 0 and self.l == amplification_rounds(self.n)
         checks = {
             "s": self.s == self.r + 3,
-            "m": self.m == 2 ** (self.s + 1),
+            # m has s + 2 bits exactly when it can equal 2^(s+1).
+            "m": self.m.bit_length() == self.s + 2 and self.m == 2 ** (self.s + 1),
             "n": self.n == self.s * (self.k - 1) + 1,
-            "l": self.l == amplification_rounds(self.n),
-            "p": self.p == shamir_p(self.n - 1, self.s, self.C),
-            "q": self.q == min(1.0, self.l * self.p),
+            "l": l_ok,
+            "p": self._p_matches(),
+            "q": l_ok and self.q == min(1.0, self.l * self.p),
         }
         bad = [name for name, ok in checks.items() if not ok]
         if bad:
             raise ValueError(f"inconsistent derived fields: {', '.join(bad)}")
+
+    def _p_matches(self) -> bool:
+        n, s = self.n - 1, self.s
+        # n^(s-1) >= 2^((s-1)(bits(n)-1)); from 2^1024 on it has no float
+        # value, so shamir_p could not have derived any p.
+        if n < 2 or s < 2 or (s - 1) * (n.bit_length() - 1) >= 1024:
+            return False
+        try:
+            return self.p == shamir_p(n, s, self.C)
+        except OverflowError:
+            return False
 
 
 def amplification_rounds(n: int) -> int:
@@ -113,35 +154,68 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def _unrank_subset(rank: int, n: int, s: int) -> tuple[int, ...]:
-    """rank-th s-subset of [0, n) in lexicographic order."""
-    out = []
-    x = 0
+@lru_cache(maxsize=64)
+def _offset_table(n: int, s: int) -> tuple[tuple[int, ...], ...]:
+    """Row i holds the lexicographic offset of coordinate i: entry x is
+    sum_{y<x} C(n-1-y, s-1-i), the number of s-subsets ranked before
+    those whose i-th element is x (given the same earlier elements)."""
+    rows = []
     for i in range(s):
-        while math.comb(n - 1 - x, s - 1 - i) <= rank:
-            rank -= math.comb(n - 1 - x, s - 1 - i)
-            x += 1
-        out.append(x)
-        x += 1
-    return tuple(out)
+        row = [0]
+        for y in range(n):
+            row.append(row[-1] + math.comb(n - 1 - y, s - 1 - i))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
-def _sampled_ranks(total: int, p: float, rng: np.random.Generator) -> list[int]:
+def _unrank_sorted(ranks: list[int], n: int, s: int) -> list[tuple[int, ...]]:
+    """The rank-th s-subset of [0, n) in lexicographic order, for each
+    rank: one bisect per coordinate on its offset row. The last row is
+    0, 1, ..., n, so the last coordinate needs no search."""
+    *rows, _ = _offset_table(n, s)
+    out = []
+    for rank in ranks:
+        edge = []
+        lo = 0
+        for row in rows:
+            a = row[lo] + rank
+            x = bisect_right(row, a, lo) - 1
+            rank = a - row[x]
+            edge.append(x)
+            lo = x + 1
+        edge.append(lo + rank)
+        out.append(tuple(edge))
+    return out
+
+
+def _uniforms(rng: np.random.Generator) -> Iterator[float]:
+    """rng.random() values in stream order, drawn _CHUNK at a time."""
+    while True:
+        yield from rng.random(_CHUNK).tolist()
+
+
+def _sampled_ranks(total: int, p: float, draws: Iterator[float]) -> list[int]:
     """Indices of a Bernoulli(p) subset of range(total), by geometric
-    skipping so work scales with the output, not with `total`."""
+    skipping so work scales with the output, not with `total`. Takes
+    exactly len(result) + 1 values from `draws` when 0 < p < 1, else none."""
     if p <= 0.0:
         return []
     if p >= 1.0:
         return list(range(total))
+    log = math.log
     log_keep = math.log1p(-p)
-    ranks = []
+    ranks: list[int] = []
+    append = ranks.append
     pos = -1
-    while True:
-        u = 1.0 - rng.random()  # in (0, 1]
-        pos += 1 + int(math.log(u) / log_keep)
+    for u in draws:
+        try:
+            pos += 1 + int(log(1.0 - u) / log_keep)  # 1 - u is in (0, 1]
+        except OverflowError:  # a skip beyond the float range passes any total
+            return ranks
         if pos >= total:
             return ranks
-        ranks.append(pos)
+        append(pos)
+    raise ValueError("uniform stream ended before the last rank")
 
 
 def sample_hypergraph(n: int, s: int, p: float, seed: int) -> Hypergraph:
@@ -152,28 +226,8 @@ def sample_hypergraph(n: int, s: int, p: float, seed: int) -> Hypergraph:
         raise ValueError(f"need 2 <= s <= n, got s={s}, n={n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability out of range: {p}")
-    ranks = _sampled_ranks(math.comb(n, s), p, _rng(seed))
-    return Hypergraph(n, [_unrank_subset(r, n, s) for r in ranks])
-
-
-def sample_union_rounds(n: int, s: int, p: float, rounds: int, seed: int) -> Hypergraph:
-    """Union of `rounds` independent binomial samples at probability p;
-    distribution equals a single binomial draw at 1 - (1-p)^rounds."""
-    if rounds < 1:
-        raise ValueError(f"need rounds >= 1, got {rounds}")
-    edges: set[tuple[int, ...]] = set()
-    for round_idx in range(rounds):
-        edges.update(sample_hypergraph(n, s, p, derive_seed(seed, round_idx)).edges)
-    return Hypergraph(n, edges)
-
-
-def sample_amplified(n: int, s: int, params: ConstructionParams, seed: int) -> Hypergraph:
-    """The amplified construction: union of params.l independent samples
-    at probability params.p (kept for distribution-equivalence tests; the
-    pipeline itself draws once at q)."""
-    if params.n != n or params.s != s:
-        raise ValueError(f"params derived for (n={params.n}, s={params.s}), got (n={n}, s={s})")
-    return sample_union_rounds(n, s, params.p, params.l, seed)
+    ranks = _sampled_ranks(math.comb(n, s), p, _uniforms(_rng(seed)))
+    return Hypergraph(n, _unrank_sorted(ranks, n, s))
 
 
 @dataclass(frozen=True)
@@ -200,16 +254,17 @@ def coupled_hypergraph_family(n: int, s: int, p_levels: list[float], seed: int) 
     if any(not 0.0 <= p <= 1.0 for p in p_levels):
         raise ValueError("probability out of range")
     p_max = max(p_levels)
-    rng = _rng(seed)
-    ranks = _sampled_ranks(math.comb(n, s), p_max, rng)
+    draws = _uniforms(_rng(seed))
+    ranks = _sampled_ranks(math.comb(n, s), p_max, draws)
     # Conditioned on inclusion at level p_max, an edge's latent uniform is
     # uniform on [0, p_max]; drawing it only for included edges matches the
-    # joint law of thresholding a full table of uniforms.
-    thresholds = [p_max * rng.random() for _ in ranks]
+    # joint law of thresholding a full table of uniforms. The thresholds
+    # continue the same stream right after the ranks' last draw.
+    thresholds = [p_max * next(draws) for _ in ranks]
+    edges = _unrank_sorted(ranks, n, s)
     family = []
     for p in p_levels:
-        chosen = [r for r, t in zip(ranks, thresholds) if t <= p]
-        family.append(Hypergraph(n, [_unrank_subset(r, n, s) for r in chosen]))
+        family.append(Hypergraph(n, [e for e, t in zip(edges, thresholds) if t <= p]))
     return family
 
 

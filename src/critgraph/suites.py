@@ -298,29 +298,3 @@ def _matching_exists_oracle(h: Hypergraph, s: int) -> bool:
         if ok and union == full:
             return True
     return False
-
-
-def pipeline_edge_floor_suite(
-    certificates, expect_min: int
-) -> SuiteReport:
-    """On hypergraphs passing the full sparsity window, the minimum
-    (s+1)-subset edge count of the complement construction is at least
-    s - 2 = r + 1; checked directly on supplied certificates."""
-    report = SuiteReport("edge-floor")
-    for cert in certificates:
-        if cert.sparsity is None or not cert.sparsity.holds:
-            report.skipped += 1
-            continue
-        if cert.min_subset_edges is None or not cert.min_subset_edges.exact:
-            report.skipped += 1
-            continue
-        report.checked += 1
-        if cert.min_subset_edges.count < expect_min:
-            report.counterexamples.append(
-                {
-                    "n": cert.hypergraph.n,
-                    "count": cert.min_subset_edges.count,
-                    "expected_min": expect_min,
-                }
-            )
-    return report

@@ -4,8 +4,11 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from critgraph.certformat import (
     CertificateFormatError,
@@ -48,6 +51,103 @@ def test_certificate_rejects_garbage():
         certificate_from_dict({"schema_version": 99})
     with pytest.raises(CertificateFormatError):
         certificate_from_dict([1, 2, 3])
+
+
+FROZEN_REPORT = Path(__file__).parent / "data" / "best_attempt_r1_k6.json"
+
+
+def _frozen_doc() -> dict:
+    return json.loads(FROZEN_REPORT.read_text())
+
+
+def _set(doc, path, value):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    doc[last] = value
+
+
+def _drop(doc, path):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    del doc[last]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: _set(d, ["matchability", "per_vertex"], None),
+        lambda d: _drop(d, ["matchability", "per_vertex", 0, "vertex"]),
+        lambda d: _set(d, ["sparsity", "m"], "x"),
+        lambda d: _drop(d, ["conclusions", "robust_to_r"]),
+        lambda d: _set(d, ["min_subset_edges", "witness"], 5),
+        lambda d: _set(d, ["sparsity", "holds"], "false"),
+        lambda d: _set(d, ["params", "r"], True),
+        lambda d: _set(d, ["hypergraph", "edges", 0], [0, 0, 1, 2]),
+        lambda d: _set(d, ["graph", "edges"], [[3]]),
+        # Huge integers: 2^(s+1), n^(s-1) and l * p are never formed.
+        lambda d: _set(d, ["params", "s"], 2**70),
+        lambda d: _set(d, ["params", "s"], 10**6),
+        lambda d: _set(d, ["params", "l"], 10**400),
+    ],
+)
+def test_malformed_fields_are_format_errors(mutate):
+    doc = _frozen_doc()
+    mutate(doc)
+    with pytest.raises(CertificateFormatError):
+        certificate_from_dict(doc)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, prefix + (key,))
+    elif isinstance(node, list):
+        for idx, child in enumerate(node[:3]):
+            yield from _paths(child, prefix + (idx,))
+
+
+_FROZEN_PATHS = [p for p in _paths(_frozen_doc()) if p]
+_JUNK = [None, True, 0, -1, 2**70, 1.5, float("nan"), "x", [], [5], [[5]], [None], {}, {"a": 1}]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(_FROZEN_PATHS), st.sampled_from([*_JUNK, "<drop>"])),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_mutated_report_decodes_or_is_format_error(mutations):
+    doc = _frozen_doc()
+    for path, value in mutations:
+        try:
+            if value == "<drop>":
+                _drop(doc, list(path))
+            else:
+                _set(doc, list(path), value)
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation removed or replaced the parent
+    try:
+        certificate_from_dict(doc)
+    except CertificateFormatError:
+        pass
+
+
+def test_unreadable_files_are_parse_errors(tmp_path):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00 not text")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"seed": 1' + "0" * 5000 + "}")
+    for path in (binary, deep, long_int):
+        with pytest.raises(CertificateFormatError):
+            read_certificate(path)
+        assert main(["verify", str(path)]) == 1
 
 
 def test_truncated_json_is_parse_error(tmp_path):

@@ -1,23 +1,35 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from itertools import combinations
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from amplification import sample_amplified, sample_union_rounds
+from reference_sampling import _sampled_ranks as reference_sampled_ranks
+from reference_sampling import _unrank_subset as reference_unrank
+from critgraph.certformat import certificate_from_dict, certificate_to_json, write_sweep_csv
+from critgraph.certify import verify_construction
+from critgraph.hypergraph import Hypergraph
 from critgraph.sampling import (
+    _CHUNK,
     ConstructionParams,
+    _rng,
+    _sampled_ranks,
+    _uniforms,
+    _unrank_sorted,
     amplification_rounds,
     coupled_hypergraph_family,
     default_constant,
     derive_params,
     derive_seed,
     pm_threshold_sweep,
-    sample_amplified,
     sample_hypergraph,
-    sample_union_rounds,
     shamir_p,
 )
 
@@ -185,3 +197,143 @@ def test_derive_seed_stable_and_distinct():
     assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
     assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
     assert derive_seed(5) != derive_seed(6)
+
+
+# Golden bytes. The digests below were recorded with the scalar-draw,
+# comb-walk sampler; any change to the draw order, the draw-to-rank
+# arithmetic or the unranking shows up here.
+
+FROZEN_REPORT = Path(__file__).parent / "data" / "best_attempt_r1_k6.json"
+
+
+def _edges_digest(hypergraphs) -> str:
+    doc = json.dumps([[list(e) for e in h.edges] for h in hypergraphs])
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+def test_frozen_report_rebuilt_from_seed():
+    text = FROZEN_REPORT.read_text()
+    stored = certificate_from_dict(json.loads(text))
+    params = stored.params
+    h = sample_hypergraph(params.n, params.s, params.q, stored.seed)
+    cert = verify_construction(h, params, seed=stored.seed, stop_early=False)
+    assert certificate_to_json(cert) == text
+
+
+@pytest.mark.parametrize(
+    "n, levels, seed, sizes, digest",
+    [
+        (15, [0.05, 0.1, 0.3], 20231, [29, 42, 136],
+         "dd028be35cd8bec83a11f26c221fcd551d4eb74bcc98674af13fedae004e111a"),
+        # 819 ranks plus 819 thresholds: the thresholds cross a chunk edge.
+        (30, [0.05, 0.1, 0.2], 20233, [194, 409, 819],
+         "a4c34e5ea008dc23a1949d2941748942c69c8b2d06cb423a17e222a35f40b4c9"),
+    ],
+)
+def test_coupled_family_golden_digest(n, levels, seed, sizes, digest):
+    fam = coupled_hypergraph_family(n, 3, levels, seed)
+    assert [len(h.edges) for h in fam] == sizes
+    assert _edges_digest(fam) == digest
+
+
+def test_sample_golden_digest_n61():
+    params = derive_params(1, 16)
+    h = sample_hypergraph(params.n, params.s, params.q, 20234)
+    assert len(h.edges) == 1430
+    assert _edges_digest([h]) == "9cabb63056f5b2a91dec7125b129c96b933be2f594608457144b12ac6407ad33"
+
+
+def test_sweep_table_golden_digest(tmp_path):
+    pts = pm_threshold_sweep(3, [6, 9], [0.02, 0.05, 0.1, 0.2], 8, seed=20232)
+    out = tmp_path / "sweep.csv"
+    write_sweep_csv(pts, out)
+    assert [pt.successes for pt in pts] == [0, 0, 0, 3, 0, 0, 1, 5]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "0d9839b6d6f132727ab199a23ef007386b210a56f201608d61fb94af489b7d53"
+    )
+
+
+# Oracles: the table-driven unranker and the chunked uniform stream against
+# the comb-walk unranker and scalar draws they replaced.
+
+
+@st.composite
+def sorted_ranks(draw):
+    s = draw(st.integers(2, 6))
+    n = draw(st.integers(s, 200))
+    total = math.comb(n, s)
+    inner = draw(st.lists(st.integers(0, total - 1), max_size=20))
+    return n, s, sorted({0, total - 1, *inner})
+
+
+@given(sorted_ranks())
+def test_unrank_sorted_equals_reference(case):
+    n, s, ranks = case
+    assert _unrank_sorted(ranks, n, s) == [reference_unrank(r, n, s) for r in ranks]
+
+
+def test_unrank_sorted_beyond_64_bits():
+    n, s = 400, 10
+    total = math.comb(n, s)
+    assert total > 2**63
+    ranks = [0, 1, 2**63 - 1, 2**63, 2**63 + 12345, total // 2, total - 2, total - 1]
+    assert _unrank_sorted(ranks, n, s) == [reference_unrank(r, n, s) for r in ranks]
+    assert _unrank_sorted([total - 1], n, s) == [tuple(range(n - s, n))]
+
+
+@given(
+    st.integers(0, 2**64 - 1),
+    # Below about 2e-307 the reference overflows; see test_sample_subnormal_p.
+    st.one_of(st.sampled_from([0.0, 1.0, 1e-12, 0.5]), st.floats(1e-300, 1.0)),
+    st.sampled_from([1, 10, _CHUNK - 1, _CHUNK + 1, 3 * _CHUNK]),
+)
+def test_sampled_ranks_equal_scalar_draws(seed, p, total):
+    draws = _uniforms(_rng(seed))
+    scalar = _rng(seed)
+    assert _sampled_ranks(total, p, draws) == reference_sampled_ranks(total, p, scalar)
+    # The stream continues exactly where the scalar draws stopped.
+    assert [next(draws) for _ in range(3)] == [scalar.random() for _ in range(3)]
+
+
+def test_sample_subnormal_p():
+    # log(1 - u) / log1p(-p) overflows to inf; the skip passes every rank.
+    assert sample_hypergraph(6, 3, 5e-324, 0).edges == ()
+    assert [h.edges for h in coupled_hypergraph_family(6, 3, [0.0, 5e-324], 0)] == [(), ()]
+
+
+def test_sampled_ranks_cross_chunks():
+    # About 1.5 chunks of draws: the geometric skips straddle a chunk edge.
+    ranks = _sampled_ranks(3 * _CHUNK, 0.5, _uniforms(_rng(8)))
+    assert len(ranks) + 1 > _CHUNK
+    assert ranks == reference_sampled_ranks(3 * _CHUNK, 0.5, _rng(8))
+
+
+def _reference_family(n, s, levels, seed):
+    p_max = max(levels)
+    rng = _rng(seed)
+    ranks = reference_sampled_ranks(math.comb(n, s), p_max, rng)
+    thresholds = [p_max * rng.random() for _ in ranks]
+    return [
+        Hypergraph(n, [reference_unrank(r, n, s) for r, t in zip(ranks, thresholds) if t <= p])
+        for p in levels
+    ]
+
+
+@settings(max_examples=30)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(6, 30),
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 0.3)), min_size=1, max_size=4),
+)
+def test_coupled_family_equals_reference(seed, n, levels):
+    assert coupled_hypergraph_family(n, 3, levels, seed) == _reference_family(n, 3, levels, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sample_equals_reference_n61(seed):
+    params = derive_params(1, 16)
+    n, s = params.n, params.s
+    ranks = reference_sampled_ranks(math.comb(n, s), params.q, _rng(seed))
+    assert len(ranks) + 1 > _CHUNK
+    want = Hypergraph(n, [reference_unrank(r, n, s) for r in ranks])
+    assert sample_hypergraph(n, s, params.q, seed) == want
