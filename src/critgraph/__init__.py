@@ -15,10 +15,6 @@ from .hypergraph import (
     Matching,
     complement,
     components,
-    delete_edges,
-    delete_vertex,
-    delete_vertices,
-    restrict,
     two_section,
 )
 from .matching import (
@@ -54,9 +50,6 @@ __all__ = [
     "check_sparsity",
     "complement",
     "components",
-    "delete_edges",
-    "delete_vertex",
-    "delete_vertices",
     "derive_params",
     "exact_chromatic",
     "exact_independence",
@@ -65,7 +58,6 @@ __all__ = [
     "matching_to_coloring",
     "min_subset_edges",
     "pm_threshold_sweep",
-    "restrict",
     "sample_hypergraph",
     "shamir_p",
     "two_section",

@@ -35,7 +35,7 @@ from .matching import (
     matching_to_coloring,
 )
 from .sampling import ConstructionParams
-from .sparsity import SparsityVerdict, check_sparsity, excess
+from .sparsity import SparsityVerdict, check_sparsity, excess, union_size
 
 TOOL_VERSION = "0.1.0"
 
@@ -310,6 +310,12 @@ def _check_sparsity_record(cert: Certificate) -> list[str]:
     if any(not 0 <= i < len(cert.hypergraph.edges) for i in idx):
         reasons.append("violator indexes nonexistent edges")
         return reasons
+    if len(set(idx)) != len(idx):
+        reasons.append("violator repeats an edge index")
+        return reasons
+    spanned = union_size(cert.hypergraph, idx)
+    if violator.spanned != spanned:
+        reasons.append(f"violator spans {spanned} vertices, certificate says {violator.spanned}")
     if excess(cert.hypergraph, idx, params.s) > -1:
         reasons.append("claimed violator does not violate the span bound")
         return reasons

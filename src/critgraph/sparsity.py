@@ -2,6 +2,12 @@
 hyperedges must span at least (s-1)|F| vertices. The checker returns an
 inclusion-minimal violating edge set when the condition fails, and a
 brute-force enumerator serves as its validation oracle.
+
+The search is exponential in the window, but it only ever looks at the
+2-core of the vertex-edge incidence graph, where every inclusion-minimal
+violator lies; hypertrees and other tree-like parts peel away in linear
+time, with the same verdicts and the same witnesses as a search over all
+edges.
 """
 
 from __future__ import annotations
@@ -31,21 +37,73 @@ class SparsityVerdict:
     s: int
 
 
+def union_size(h: Hypergraph, edge_indices) -> int:
+    """Number of vertices covered by the given edges."""
+    union = 0
+    for i in edge_indices:
+        union |= h.edge_masks[i]
+    return union.bit_count()
+
+
 def excess(h: Hypergraph, edge_indices, s: int) -> int:
     """|union of the edges| - (s-1) * |F|; the sparsity condition for F is
     excess >= 0."""
     idx = list(edge_indices)
-    union = 0
-    for i in idx:
-        union |= h.edge_masks[i]
-    return union.bit_count() - (s - 1) * len(idx)
+    return union_size(h, idx) - (s - 1) * len(idx)
 
 
-def _union_size(h: Hypergraph, idx) -> int:
-    union = 0
-    for i in idx:
-        union |= h.edge_masks[i]
-    return union.bit_count()
+def _incidence_core(masks) -> list[int]:
+    """Positions of the edges in the 2-core of the vertex-edge incidence
+    graph, ascending: repeatedly drop any edge that shares at most one
+    vertex with the other remaining edges.
+
+    Every inclusion-minimal violator F lies in the core. For e in F let
+    t = |e & union(F - e)|; then excess(F) = excess(F - e) + 1 - t, so
+    t <= 1 would make F - e a violator too. Every edge of F therefore
+    meets the rest of F in at least 2 vertices, and none of them is ever
+    the first of F to be dropped.
+
+    An edge shares the vertices it has in `twice`, the vertices of at
+    least two edges. When some edge shares at most one, per-vertex holder
+    counts and a worklist finish the peel in time linear in the total edge
+    size: an edge is queued once, when its shared count falls to 1 (or
+    starts at most 1). Over-dense prefixes usually peel nothing and stop
+    after the first pass.
+    """
+    once = twice = 0
+    for mask in masks:
+        twice |= once & mask
+        once |= mask
+    shared = [(mask & twice).bit_count() for mask in masks]
+    stack = [i for i, t in enumerate(shared) if t <= 1]
+    if not stack:
+        return list(range(len(masks)))
+    holders: dict[int, list[int]] = {}
+    for i, mask in enumerate(masks):
+        mask &= twice
+        while mask:
+            bit = mask & -mask
+            holders.setdefault(bit, []).append(i)
+            mask ^= bit
+    count = {bit: len(edges) for bit, edges in holders.items()}
+    alive = [True] * len(masks)
+    while stack:
+        i = stack.pop()
+        alive[i] = False
+        mask = masks[i] & twice
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            count[bit] -= 1
+            if count[bit] == 1:
+                # The last holder of this vertex no longer shares it.
+                for j in holders[bit]:
+                    if alive[j]:
+                        shared[j] -= 1
+                        if shared[j] == 1:
+                            stack.append(j)
+                        break
+    return [i for i, keep in enumerate(alive) if keep]
 
 
 def _min_cardinality_violator(masks, limit: int, s: int) -> list[int] | None:
@@ -63,7 +121,21 @@ def _min_cardinality_violator(masks, limit: int, s: int) -> list[int] | None:
     globally minimum cardinality, smaller depths having been exhausted, and
     is therefore inclusion-minimal: every proper subset is smaller and was
     cleared.
+
+    The search runs on the incidence 2-core of `masks` only (see
+    _incidence_core), in ascending original index, with `limit` capped at
+    the core size, and maps the positions it finds back. It returns
+    exactly what the search over all of `masks` would, tuple order
+    included: a candidate set is always the list of chosen edges, so a set
+    made only of core edges is reached along the same path and in the same
+    relative order, the peeled edges having added only branches and
+    forbidden entries that such a set never uses. The first violator the
+    full search meets has minimum cardinality, hence lies in the core, and
+    is met first here too.
     """
+    core = _incidence_core(masks)
+    masks = [masks[i] for i in core]
+    limit = min(limit, len(masks))
     n_edges = len(masks)
 
     def grow(
@@ -97,7 +169,7 @@ def _min_cardinality_violator(masks, limit: int, s: int) -> list[int] | None:
         for start in range(n_edges):
             found = grow([start], masks[start], 1, start, set(), depth)
             if found is not None:
-                return found
+                return [core[i] for i in found]
     return None
 
 
@@ -110,7 +182,8 @@ def check_sparsity(h: Hypergraph, m: int, s: int) -> SparsityVerdict:
     exists among the first f edges alone and the search is confined to
     them. A cardinality-minimal violator found there is still
     inclusion-minimal in the whole hypergraph: violating depends only on
-    the edge set itself.
+    the edge set itself. Only that prefix is peeled to its incidence
+    2-core, so rejecting a sample of any size peels f edges.
     """
     if not h.is_uniform(s):
         raise ValueError(f"hypergraph is not {s}-uniform")
@@ -125,12 +198,12 @@ def check_sparsity(h: Hypergraph, m: int, s: int) -> SparsityVerdict:
         found = _min_cardinality_violator(masks[:forced], limit=forced, s=s)
         if found is None:
             raise RuntimeError("counting bound guarantees a violator in the prefix")
-        return SparsityVerdict(False, Violator(tuple(found), _union_size(h, found)), m=m, s=s)
+        return SparsityVerdict(False, Violator(tuple(found), union_size(h, found)), m=m, s=s)
 
     found = _min_cardinality_violator(masks, limit=min(m, len(masks)), s=s)
     if found is None:
         return SparsityVerdict(True, None, m=m, s=s)
-    return SparsityVerdict(False, Violator(tuple(found), _union_size(h, found)), m=m, s=s)
+    return SparsityVerdict(False, Violator(tuple(found), union_size(h, found)), m=m, s=s)
 
 
 def brute_force_sparsity(h: Hypergraph, m: int, s: int, cap: int = 2_000_000) -> SparsityVerdict:
@@ -146,7 +219,7 @@ def brute_force_sparsity(h: Hypergraph, m: int, s: int, cap: int = 2_000_000) ->
         raise EnumerationCapExceeded(f"{total} subsets exceeds cap {cap}")
     for size in range(1, limit + 1):
         for idx in combinations(range(n_edges), size):
-            spanned = _union_size(h, idx)
+            spanned = union_size(h, idx)
             if spanned < (s - 1) * size:
                 return SparsityVerdict(False, Violator(idx, spanned), m=m, s=s)
     return SparsityVerdict(True, None, m=m, s=s)

@@ -209,6 +209,8 @@ def _violator_problems(h: Hypergraph, idx: list[int], s: int, m: int) -> list[st
     problems = []
     if not 1 <= len(idx) <= m:
         problems.append(f"violator size {len(idx)} outside [1, {m}]")
+    if len(set(idx)) != len(idx):
+        problems.append("violator repeats an edge index")
     if excess(h, idx, s) > -1:
         problems.append("reported violator does not violate")
     for i in idx:

@@ -44,6 +44,23 @@ def uniform_hypergraphs(draw, s: int = 3, max_n: int = 10, max_edges: int = 8):
     return Hypergraph(n, chosen)
 
 
+@st.composite
+def linear_hypertrees(draw, s: int = 3, max_edges: int = 8):
+    """s-uniform linear hypertrees: each edge after the first meets the
+    union of the earlier ones in exactly one vertex, and every vertex is
+    covered. Vertex labels are shuffled, so the canonical edge order does
+    not follow the growth order."""
+    count = draw(st.integers(1, max_edges))
+    n = 1 + count * (s - 1)
+    labels = draw(st.permutations(range(n)))
+    edges = [tuple(range(s))]
+    for i in range(1, count):
+        covered = s + (i - 1) * (s - 1)
+        anchor = draw(st.integers(0, covered - 1))
+        edges.append((anchor, *range(covered, covered + s - 1)))
+    return Hypergraph(n, [tuple(labels[v] for v in e) for e in edges])
+
+
 def brute_force_independence(g: Graph) -> int:
     masks = g.adjacency_masks
     best = 0

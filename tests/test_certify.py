@@ -14,12 +14,13 @@ from critgraph.certify import (
     verify_construction,
 )
 from critgraph.chromatic import exact_chromatic, exact_independence
-from critgraph.hypergraph import Graph, Hypergraph, complement, delete_edges, two_section
+from critgraph.hypergraph import Graph, Hypergraph, complement, two_section
 from critgraph.matching import MATCHED, VertexOutcome
 from critgraph.sampling import derive_params, derive_seed, sample_hypergraph
 from critgraph.sparsity import check_sparsity
 
 from conftest import is_proper_coloring
+from graph_ops import delete_edges
 
 
 def complete_graph(n):
@@ -242,6 +243,23 @@ def test_soundness_chain_on_synthetic_robust_instance():
         assert len(set(coloring.values())) == 3
     assert exact_chromatic(g) == 4  # complement of C7: chi = ceil(7/2)
     assert exact_independence(g) == 2
+
+
+def test_sixty_edge_hypertree_certificate_checks():
+    # A passing sparsity verdict is universal, so check_certificate runs
+    # the search again. Fifteen edges hang on each vertex of edge 0, so
+    # more than 2^57 edge sets of at most m = 32 edges are connected; the
+    # incidence-core peel removes every edge before the search starts.
+    params = derive_params(1, 47)  # s = 4, n = 185: four vertices stay isolated
+    s = params.s
+    edges = [tuple(range(s))]
+    for i in range(1, 60):
+        covered = s + (i - 1) * (s - 1)
+        edges.append((i % s, *range(covered, covered + s - 1)))
+    h = Hypergraph(params.n, edges)
+    cert = verify_construction(h, params, stop_early=True)
+    assert cert.sparsity.holds
+    assert check_certificate(cert) == (True, [])
 
 
 def test_cross_check_oracles_on_uncertified():

@@ -20,7 +20,7 @@ from critgraph.certformat import (
     write_sweep_csv,
 )
 from critgraph import suites
-from critgraph.certify import verify_construction
+from critgraph.certify import check_certificate, verify_construction
 from critgraph.cli import main, run_construct_search
 from critgraph.hypergraph import Graph
 from critgraph.sampling import SweepPoint, derive_params, sample_hypergraph
@@ -135,6 +135,22 @@ def test_mutated_report_decodes_or_is_format_error(mutations):
         certificate_from_dict(doc)
     except CertificateFormatError:
         pass
+
+
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("edge_indices", [0, 0], "violator repeats an edge index"),
+        ("spanned", 999, "violator spans 5 vertices, certificate says 999"),
+    ],
+)
+def test_forged_violator_is_rejected(tmp_path, field, value, reason):
+    doc = _frozen_doc()
+    doc["sparsity"]["violator"][field] = value
+    assert check_certificate(certificate_from_dict(doc)) == (False, [reason])
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) != 0
 
 
 def test_unreadable_files_are_parse_errors(tmp_path):

@@ -11,15 +11,12 @@ from critgraph.hypergraph import (
     Hypergraph,
     complement,
     components,
-    delete_edges,
-    delete_vertex,
-    delete_vertices,
     is_connected,
-    restrict,
     two_section,
 )
 
 from conftest import graphs, hypergraphs
+from graph_ops import delete_edges, delete_vertex, delete_vertices, has_edge, restrict
 
 
 def test_hypergraph_canonicalizes():
@@ -146,7 +143,7 @@ def test_uniform_two_section_cliques(h):
     g = two_section(h)
     for e in h.edges:
         for u, v in combinations(e, 2):
-            assert g.has_edge(u, v)
+            assert has_edge(g, u, v)
 
 
 @given(hypergraphs(), st.data())

@@ -6,16 +6,19 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import reference_sparsity
 from critgraph.hypergraph import Hypergraph
+from critgraph.sampling import derive_params, derive_seed, sample_hypergraph
 from critgraph.sparsity import (
     EnumerationCapExceeded,
+    _incidence_core,
     brute_force_sparsity,
     check_sparsity,
     excess,
 )
 from critgraph.suites import _violator_problems
 
-from conftest import uniform_hypergraphs
+from conftest import linear_hypertrees, uniform_hypergraphs
 
 
 def test_excess_examples():
@@ -62,6 +65,13 @@ def test_brute_force_cap():
     h = Hypergraph(12, [e for e in combinations(range(12), 3)][:30])
     with pytest.raises(EnumerationCapExceeded):
         brute_force_sparsity(h, 16, 3, cap=1000)
+
+
+def test_violator_problems_flags_repeated_indices():
+    # Counting edge 0 twice makes the excess negative, and dropping
+    # either copy leaves nothing to test for minimality.
+    h = Hypergraph(6, [(0, 1, 2), (3, 4, 5)])
+    assert "violator repeats an edge index" in _violator_problems(h, [0, 0], 3, 16)
 
 
 def test_dense_fast_path_agrees_with_oracle():
@@ -121,3 +131,73 @@ def test_verdicts_deterministic():
     a = check_sparsity(h, 16, 3)
     b = check_sparsity(h, 16, 3)
     assert a == b
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_peeled_search_equals_reference(data):
+    s = data.draw(st.integers(2, 5), label="s")
+    m = data.draw(st.integers(1, 16), label="m")
+    h = data.draw(uniform_hypergraphs(s=s, max_n=3 * s + 4, max_edges=12), label="h")
+    assert check_sparsity(h, m, s) == reference_sparsity.check_sparsity(h, m, s)
+
+
+@pytest.mark.parametrize("k", [6, 11, 16])
+def test_dense_samples_equal_reference(k):
+    # Default-q samples are over-dense, so both searches take the forced
+    # prefix shortcut; the verdict and the violator tuple must not move.
+    params = derive_params(1, k)
+    for j in range(10):
+        h = sample_hypergraph(params.n, params.s, params.q, derive_seed(5150, k, j))
+        verdict = check_sparsity(h, params.m, params.s)
+        assert not verdict.holds
+        assert verdict == reference_sparsity.check_sparsity(h, params.m, params.s)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_peel_empties_hypertrees(data):
+    s = data.draw(st.integers(2, 5), label="s")
+    h = data.draw(linear_hypertrees(s=s, max_edges=200), label="h")
+    assert _incidence_core(h.edge_masks) == []
+    assert check_sparsity(h, 2 ** (s + 1), s).holds
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
+@pytest.mark.parametrize("length", [3, 4, 7])
+def test_peel_keeps_berge_cycle(s, length):
+    # Edge i holds cycle vertices i and i+1 (mod length) plus s-2 private
+    # vertices: every edge meets the others in exactly 2 vertices.
+    private = iter(range(length, length + length * (s - 2)))
+    edges = [(i, (i + 1) % length, *(next(private) for _ in range(s - 2))) for i in range(length)]
+    h = Hypergraph(length * (s - 1), edges)
+    assert _incidence_core(h.edge_masks) == list(range(length))
+    # One cycle has excess 0: sparsity holds, and the search agrees.
+    assert check_sparsity(h, 16, s) == reference_sparsity.check_sparsity(h, 16, s)
+    assert check_sparsity(h, 16, s).holds
+
+
+def test_pendant_tree_is_peeled_off_a_violator():
+    core_edges = [(0, 5, 10), (0, 5, 11), (0, 10, 11)]
+    bare = check_sparsity(Hypergraph(12, core_edges), 16, 3)
+    # A linear forest hung on vertices 0, 10 and 11, with edges sorting
+    # before, between and after the violator's own; (0, 1, 2) and
+    # (10, 12, 13) only become pendant once their outer edges are gone.
+    tree = [(0, 1, 2), (1, 16, 17), (0, 6, 7), (10, 12, 13), (12, 14, 15), (3, 4, 11)]
+    h = Hypergraph(18, core_edges + tree)
+    core = _incidence_core(h.edge_masks)
+    assert [h.edges[i] for i in core] == core_edges
+    verdict = check_sparsity(h, 16, 3)
+    assert verdict == reference_sparsity.check_sparsity(h, 16, 3)
+    assert [h.edges[i] for i in verdict.violator.edge_indices] == [
+        core_edges[i] for i in bare.violator.edge_indices
+    ]
+    assert verdict.violator.spanned == bare.violator.spanned == 4
+
+
+@given(uniform_hypergraphs(s=3, max_n=12, max_edges=10))
+@settings(max_examples=200, deadline=None)
+def test_brute_force_violators_lie_in_core(h):
+    slow = brute_force_sparsity(h, 16, 3)
+    if slow.violator is not None:
+        assert set(slow.violator.edge_indices) <= set(_incidence_core(h.edge_masks))
