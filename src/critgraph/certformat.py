@@ -136,11 +136,12 @@ def _read(doc: dict, key: str, kind, where: str = "", nullable: bool = False):
 
 
 def _built(what: str, make):
-    """make(), with the ValueError of a violated value invariant reported
-    as a format error."""
+    """make(), with the ValueError of a violated value invariant (or the
+    OverflowError of an integer too large for a float field) reported as a
+    format error."""
     try:
         return make()
-    except ValueError as err:
+    except (ValueError, OverflowError) as err:
         raise CertificateFormatError(f"bad {what}: {err}") from err
 
 
@@ -155,8 +156,10 @@ def certificate_from_dict(doc: dict) -> Certificate:
 
     raw_params = _read(doc, "params", _OBJECT)
     ints = {key: _read(raw_params, key, _INT, "params") for key in ("r", "s", "m", "k", "n", "l")}
-    floats = {key: float(_read(raw_params, key, _NUMBER, "params")) for key in ("C", "p", "q")}
-    params = _built("params", lambda: ConstructionParams(**ints, **floats))
+    numbers = {key: _read(raw_params, key, _NUMBER, "params") for key in ("C", "p", "q")}
+    params = _built(
+        "params", lambda: ConstructionParams(**ints, **{key: float(v) for key, v in numbers.items()})
+    )
 
     raw_h = _read(doc, "hypergraph", _OBJECT)
     h_n = _read(raw_h, "n", _INT, "hypergraph")

@@ -12,7 +12,6 @@ import argparse
 import json
 import secrets
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .certformat import (
@@ -23,7 +22,13 @@ from .certformat import (
 )
 from .certify import Certificate, check_certificate, verify_construction
 from .lemmas import CapExceeded
-from .sampling import derive_params, derive_seed, pm_threshold_sweep, sample_hypergraph
+from .sampling import (
+    derive_params,
+    derive_seed,
+    pm_threshold_sweep,
+    sample_fails_sparsity,
+    sample_hypergraph,
+)
 from .suites import (
     connected_bound_suite,
     matching_oracle_suite,
@@ -44,10 +49,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text: str) -> int:
+    """A --seed value: seeds are hashed as unsigned integers."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {value}")
+    return value
+
+
 def _attempt_summary(args: tuple[int, int, float | None, int, int, float]) -> tuple[int, int, bool]:
     """(attempt index, stages passed, fully robust) for one restart; pure
-    in its arguments, so parallel fan-out is deterministic."""
+    in its arguments, so parallel fan-out is deterministic. A sample that
+    fails sparsity while its edges stream in scores 0 at once, as the full
+    check would score it."""
     r, k, C, base_seed, idx, budget = args
+    params = derive_params(r, k, C)
+    if sample_fails_sparsity(params.n, params.s, params.q, params.m, derive_seed(base_seed, idx)):
+        return idx, 0, False
     cert = _attempt_certificate(r, k, C, base_seed, idx, budget, stop_early=True)
     return idx, cert.stages_passed(), cert.conclusions.robust_to_r
 
@@ -96,6 +114,8 @@ def run_construct_search(
     else:
         # Chunked in-order map keeps the lowest-index success the winner
         # regardless of scheduling.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, workers * 4)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for lo in range(0, attempts, chunk):
@@ -122,11 +142,15 @@ def _cmd_construct(args) -> int:
     if args.r < 1 or args.k < 2:
         print("error: need --r >= 1 and --k >= 2", file=sys.stderr)
         return EXIT_USAGE
-    if args.restarts < 0 or args.workers < 1 or args.matching_budget <= 0:
+    if args.restarts < 0 or args.workers < 1 or not args.matching_budget > 0:  # NaN too
         print("error: budgets and worker count must be positive", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        params = derive_params(args.r, args.k, args.C)
+    except (ValueError, OverflowError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     base_seed = args.seed if args.seed is not None else secrets.randbits(64)
-    params = derive_params(args.r, args.k, args.C)
     print(
         f"construct: r={params.r} k={params.k} -> s={params.s} m={params.m} "
         f"n={params.n} q={params.q:.6g} seed={base_seed} attempts={args.restarts + 1}"
@@ -287,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--r", type=int, required=True, help="edge-deletion budget (>= 1)")
     c.add_argument("--k", type=int, required=True, help="target chromatic number (>= 2)")
     c.add_argument("--C", type=float, default=None, help="threshold constant override")
-    c.add_argument("--seed", type=int, default=None, help="base seed (random if omitted)")
+    c.add_argument("--seed", type=_seed, default=None, help="base seed (random if omitted)")
     c.add_argument("--restarts", type=int, default=100, help="additional attempts after the first")
     c.add_argument("--workers", type=int, default=1)
     c.add_argument("--matching-budget", type=float, default=10.0, help="seconds per matching call")
@@ -304,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--max-n", type=int, default=None)
     l.add_argument("--max-edges", type=int, default=None)
     l.add_argument("--count", type=int, default=200, help="instances for randomized suites")
-    l.add_argument("--seed", type=int, default=None)
+    l.add_argument("--seed", type=_seed, default=None)
     l.set_defaults(func=_cmd_lemma_check)
 
     s = sub.add_parser("sweep", help="empirical perfect-matching threshold sweep")
@@ -312,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", required=True, help="comma-separated vertex counts")
     s.add_argument("--p", required=True, help="comma-separated probabilities")
     s.add_argument("--samples", type=int, required=True)
-    s.add_argument("--seed", type=int, default=None)
+    s.add_argument("--seed", type=_seed, default=None)
     s.add_argument("--out", type=Path, default=None)
     s.set_defaults(func=_cmd_sweep)
 

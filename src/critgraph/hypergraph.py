@@ -43,6 +43,16 @@ class Hypergraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(canon))
 
+    @classmethod
+    def _from_canonical(cls, n: int, edges: tuple[tuple[int, ...], ...]) -> Hypergraph:
+        """The hypergraph with exactly these fields, unchecked: for callers
+        whose edges are already a tuple of distinct increasing tuples, in
+        increasing order and within range(n), as the sampler emits them."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "n", n)
+        object.__setattr__(h, "edges", edges)
+        return h
+
     def __getstate__(self) -> dict:
         # Only the fields: cached views stay out of pickles, so equal
         # hypergraphs pickle to equal bytes whatever has been computed.

@@ -1,51 +1,58 @@
 """Parameter derivation and seeded sampling of binomial random uniform
-hypergraphs, plus the empirical perfect-matching threshold sweep.
+hypergraphs, the streaming sparsity rejection of the restart loop, and the
+empirical perfect-matching threshold sweep.
 
-Randomness comes from numpy's Philox counter-based generator: the seed and
-draw order fully determine every sample, on any platform, so certificates
-are reproducible bit for bit. Derived streams (per restart, per sweep cell)
-are split off the base seed with SeedSequence spawn keys.
+Randomness is pure Python and needs no numpy. Seeds go through numpy's
+SeedSequence hashing and uniforms come from the Philox4x64-10 counter-based
+generator (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC 2011), both reimplemented here so that every seed gives the same 64-bit
+words and the same doubles as numpy's
+Generator(Philox(SeedSequence(seed))).random() would, on any platform.
+Derived streams (per restart, per sweep cell) are split off the base seed
+with SeedSequence spawn keys. The hash constants of SeedSequence do not
+depend on the data and are tabulated once; the ten Philox round keys are
+expanded once per stream.
 
-A sample is a list of candidate-edge ranks in [0, C(n, s)), found by
-geometric skipping, then unranked to lexicographic s-subsets:
+A sample is the ascending sequence of candidate-edge ranks in
+[0, C(n, s)), found by geometric skipping, each unranked to its
+lexicographic s-subset:
 
-- Uniforms come from one stream per sample, drawn in chunks of _CHUNK
-  doubles. Philox yields the same doubles in blocks as one at a time, and
-  the coupled family takes its thresholds from the same stream right after
-  the ranks, so every value lands where a scalar draw would have put it.
 - Each skip is int(math.log(1 - u) / math.log1p(-p)), one double at a
-  time: math.log is the C library's log, which every recorded sample
-  used; numpy's vectorised log has its own SIMD kernels on some
-  platforms, may round the last bit differently, and so could move a rank.
+  time: math.log is the C library's log, which every recorded sample used.
+- The coupled family takes its thresholds from the same stream, right after
+  the draw that ended the ranks.
 - Unranking looks each coordinate up with one bisect on a per-(n, s) table
   of cumulative lexicographic offsets, built once and cached. Ranks stay
   exact Python integers, so C(n, s) beyond 2**63 is fine.
 
-So the edges, and every sweep table and certificate built on them, do not
-depend on the chunk size or on how the subsets are unranked.
+Ranks and edges are produced lazily, so the restart loop can reject an
+attempt after its first few edges (sample_fails_sparsity). Each of two
+rules proves that a violator exists within the window m, so the exact
+check_sparsity rejects the whole sample too, and the attempt scores 0
+either way:
+
+- an edge shares at least 3 vertices with an earlier edge: the pair spans
+  at most 2s - 3 < 2(s - 1) vertices, a violator of size 2 <= m;
+- f = ceil((n + 1)/(s - 1)) <= m edges have been drawn: any f edges span
+  at most n <= (s - 1)f - 1 vertices (see sparsity.forced_violator_size).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from itertools import combinations
 
 from .hypergraph import Hypergraph
+from .sparsity import forced_violator_size
 
 #: Multiplier applied to the factorial threshold constant when the caller
 #: does not override C. Twice the sharp constant trades sample density for
 #: better odds of matchability at small vertex counts.
 DEFAULT_C_FACTOR = 2.0
-
-# Uniforms drawn per call to the generator. Philox yields the same doubles
-# whether they are drawn one at a time or in blocks, so this only trades a
-# little over-draw at the end of a sample for fewer generator calls.
-_CHUNK = 1024
 
 
 def default_constant(s: int) -> float:
@@ -80,8 +87,8 @@ class ConstructionParams:
             raise ValueError(f"deletion budget r must be >= 1, got {self.r}")
         if self.k < 2:
             raise ValueError(f"target chromatic number k must be >= 2, got {self.k}")
-        if self.C <= 0:
-            raise ValueError(f"threshold constant C must be positive, got {self.C}")
+        if not (math.isfinite(self.C) and self.C > 0):
+            raise ValueError(f"threshold constant C must be finite and positive, got {self.C}")
         # Decoded certificates can hold any integers, so no power or float
         # conversion is formed before a cheap test bounds its size.
         l_ok = self.n > 0 and self.l == amplification_rounds(self.n)
@@ -144,14 +151,144 @@ def derive_params(r: int, k: int, C: float | None = None) -> ConstructionParams:
     )
 
 
+_MASK32 = 0xFFFF_FFFF
+_MASK64 = 0xFFFF_FFFF_FFFF_FFFF
+
+# SeedSequence (numpy/random/bit_generator.pyx): a pool of four 32-bit
+# words, hashed with multipliers that advance by a fixed factor per use.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy mixing
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # state generation
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, count: int) -> tuple[tuple[int, int], ...]:
+    """(xor, multiplier) of the first `count` hash steps: step i xors the
+    constant in force, advances it by `mult`, then multiplies by the new
+    value."""
+    out = []
+    const = init
+    for _ in range(count):
+        advanced = const * mult & _MASK32
+        out.append((const, advanced))
+        const = advanced
+    return tuple(out)
+
+
+# Enough steps for entropy of up to 16 words: the pool fill, the 12 mixes
+# of the pool with itself, and four per word beyond the pool.
+_MIX_CONSTANTS = _hash_constants(_INIT_A, _MULT_A, 16 * _POOL_SIZE)
+# The 12 mixes of the pool with itself: source word, target word and the
+# constants of the hash step each one takes.
+_SELF_MIXES = tuple(
+    (src, dst, *_MIX_CONSTANTS[_POOL_SIZE + i])
+    for i, (src, dst) in enumerate(
+        (src, dst) for src in range(_POOL_SIZE) for dst in range(_POOL_SIZE) if src != dst
+    )
+)
+# Four 32-bit words make a Philox key; derive_seed takes two.
+_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 4)
+
+
+def _words32(value: int) -> list[int]:
+    """Little-endian 32-bit words of a nonnegative integer; [0] for 0."""
+    if value < 0:
+        raise ValueError(f"expected a nonnegative integer seed, got {value}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _seed_state(entropy: int, spawn_key: tuple[int, ...], n_words: int) -> list[int]:
+    """SeedSequence(entropy, spawn_key=spawn_key).generate_state(n_words),
+    as 32-bit words. Every hash step is hashmix(v) = h ^ h >> 16 with
+    h = (v ^ xor) * mult mod 2**32, and every mix of a pool word x with
+    a hashed word y is (L x - R y) mod 2**32, folded the same way."""
+    run = _words32(entropy)
+    spawn = [word for key in spawn_key for word in _words32(key)]
+    if spawn and len(run) < _POOL_SIZE:
+        run += [0] * (_POOL_SIZE - len(run))  # keeps spawn keys apart from entropy
+    words = run + spawn
+    extra = words[_POOL_SIZE:]
+    consts = _MIX_CONSTANTS
+    if _POOL_SIZE * (_POOL_SIZE + len(extra)) > len(consts):
+        consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + len(extra)))
+    mask, left, right = _MASK32, _MIX_MULT_L, _MIX_MULT_R
+
+    pool = []
+    for i in range(_POOL_SIZE):
+        xor, mult = consts[i]
+        h = ((words[i] if i < len(words) else 0) ^ xor) * mult & mask
+        pool.append(h ^ h >> 16)
+    for src, dst, xor, mult in _SELF_MIXES:
+        h = (pool[src] ^ xor) * mult & mask
+        x = (left * pool[dst] - right * (h ^ h >> 16)) & mask
+        pool[dst] = x ^ x >> 16
+    step = _POOL_SIZE * _POOL_SIZE
+    for word in extra:
+        for dst in range(_POOL_SIZE):
+            xor, mult = consts[step]
+            step += 1
+            h = (word ^ xor) * mult & mask
+            x = (left * pool[dst] - right * (h ^ h >> 16)) & mask
+            pool[dst] = x ^ x >> 16
+
+    out = []
+    for i, (xor, mult) in enumerate(_STATE_CONSTANTS[:n_words]):
+        h = (pool[i % _POOL_SIZE] ^ xor) * mult & mask
+        out.append(h ^ h >> 16)
+    return out
+
+
 def derive_seed(base: int, *path: int) -> int:
-    """Deterministic 64-bit child seed for an independent stream."""
-    seq = np.random.SeedSequence(base, spawn_key=tuple(path))
-    return int(seq.generate_state(1, np.uint64)[0])
+    """Deterministic 64-bit child seed for an independent stream: the first
+    uint64 of SeedSequence(base, spawn_key=path)."""
+    low, high = _seed_state(base, path, 2)
+    return low | high << 32
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+# Philox4x64-10: multipliers and Weyl key increments.
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_PHILOX_ROUNDS = 10
+
+
+def _round_keys(seed: int) -> tuple[tuple[int, int], ...]:
+    """The Philox key of Philox(SeedSequence(seed)), as the key of each of
+    the ten rounds."""
+    w0, w1, w2, w3 = _seed_state(seed, (), 4)
+    k0, k1 = w0 | w1 << 32, w2 | w3 << 32
+    keys = []
+    for _ in range(_PHILOX_ROUNDS):
+        keys.append((k0, k1))
+        k0 = (k0 + _PHILOX_W0) & _MASK64
+        k1 = (k1 + _PHILOX_W1) & _MASK64
+    return tuple(keys)
+
+
+def _uniforms(seed: int) -> Iterator[float]:
+    """The doubles Generator(Philox(SeedSequence(seed))).random() returns,
+    in stream order: each block of four words encrypts the next counter
+    value, starting at 1, and each word gives its top 53 bits."""
+    keys = _round_keys(seed)
+    m0, m1, mask = _PHILOX_M0, _PHILOX_M1, _MASK64
+    scale = 2.0**-53
+    counter = 0
+    while True:
+        counter += 1
+        # The 256-bit counter's two top words stay zero below 2**128 blocks.
+        c0, c1, c2, c3 = counter & mask, counter >> 64, 0, 0
+        for k0, k1 in keys:
+            p0 = m0 * c0
+            p1 = m1 * c2
+            c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & mask, (p0 >> 64) ^ c3 ^ k1, p0 & mask
+        yield (c0 >> 11) * scale
+        yield (c1 >> 11) * scale
+        yield (c2 >> 11) * scale
+        yield (c3 >> 11) * scale
 
 
 @lru_cache(maxsize=64)
@@ -168,12 +305,11 @@ def _offset_table(n: int, s: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _unrank_sorted(ranks: list[int], n: int, s: int) -> list[tuple[int, ...]]:
+def _unrank_sorted(ranks: Iterable[int], n: int, s: int) -> Iterator[tuple[int, ...]]:
     """The rank-th s-subset of [0, n) in lexicographic order, for each
-    rank: one bisect per coordinate on its offset row. The last row is
-    0, 1, ..., n, so the last coordinate needs no search."""
+    rank as it arrives: one bisect per coordinate on its offset row. The
+    last row is 0, 1, ..., n, so the last coordinate needs no search."""
     *rows, _ = _offset_table(n, s)
-    out = []
     for rank in ranks:
         edge = []
         lo = 0
@@ -184,50 +320,71 @@ def _unrank_sorted(ranks: list[int], n: int, s: int) -> list[tuple[int, ...]]:
             edge.append(x)
             lo = x + 1
         edge.append(lo + rank)
-        out.append(tuple(edge))
-    return out
+        yield tuple(edge)
 
 
-def _uniforms(rng: np.random.Generator) -> Iterator[float]:
-    """rng.random() values in stream order, drawn _CHUNK at a time."""
-    while True:
-        yield from rng.random(_CHUNK).tolist()
-
-
-def _sampled_ranks(total: int, p: float, draws: Iterator[float]) -> list[int]:
-    """Indices of a Bernoulli(p) subset of range(total), by geometric
-    skipping so work scales with the output, not with `total`. Takes
-    exactly len(result) + 1 values from `draws` when 0 < p < 1, else none."""
+def _sampled_ranks(total: int, p: float, draws: Iterator[float]) -> Iterator[int]:
+    """Indices of a Bernoulli(p) subset of range(total) in ascending order,
+    by geometric skipping so work scales with the output, not with `total`.
+    Once exhausted it has taken exactly (number of indices) + 1 values from
+    `draws` when 0 < p < 1, else none."""
     if p <= 0.0:
-        return []
+        return
     if p >= 1.0:
-        return list(range(total))
+        yield from range(total)
+        return
     log = math.log
     log_keep = math.log1p(-p)
-    ranks: list[int] = []
-    append = ranks.append
     pos = -1
     for u in draws:
         try:
             pos += 1 + int(log(1.0 - u) / log_keep)  # 1 - u is in (0, 1]
         except OverflowError:  # a skip beyond the float range passes any total
-            return ranks
+            return
         if pos >= total:
-            return ranks
-        append(pos)
+            return
+        yield pos
     raise ValueError("uniform stream ended before the last rank")
+
+
+def _check_sample_args(n: int, s: int, p: float) -> None:
+    if not 2 <= s <= n:
+        raise ValueError(f"need 2 <= s <= n, got s={s}, n={n}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability out of range: {p}")
 
 
 def sample_hypergraph(n: int, s: int, p: float, seed: int) -> Hypergraph:
     """Binomial s-uniform random hypergraph: every s-subset of [0, n)
     is a hyperedge independently with probability p. Equal
     (n, s, p, seed) give identical output."""
-    if not 2 <= s <= n:
-        raise ValueError(f"need 2 <= s <= n, got s={s}, n={n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability out of range: {p}")
-    ranks = _sampled_ranks(math.comb(n, s), p, _uniforms(_rng(seed)))
-    return Hypergraph(n, _unrank_sorted(ranks, n, s))
+    _check_sample_args(n, s, p)
+    ranks = _sampled_ranks(math.comb(n, s), p, _uniforms(seed))
+    return Hypergraph._from_canonical(n, tuple(_unrank_sorted(ranks, n, s)))
+
+
+def sample_fails_sparsity(n: int, s: int, p: float, m: int, seed: int) -> bool:
+    """True when sample_hypergraph(n, s, p, seed) certainly fails local
+    sparsity with window m, decided while its edges stream in: at the first
+    edge sharing at least 3 vertices with an earlier one (when m >= 2), or
+    once f = ceil((n+1)/(s-1)) <= m edges have arrived. False means neither
+    rule fired over the whole sample, not that sparsity holds."""
+    _check_sample_args(n, s, p)
+    forced = forced_violator_size(n, s)
+    limit = forced if forced <= m else None
+    seen: set[tuple[int, ...]] = set()
+    drawn = 0
+    ranks = _sampled_ranks(math.comb(n, s), p, _uniforms(seed))
+    for edge in _unrank_sorted(ranks, n, s):
+        drawn += 1
+        if drawn == limit:
+            return True
+        if m >= 2:
+            triples = list(combinations(edge, 3))
+            if not seen.isdisjoint(triples):
+                return True
+            seen.update(triples)
+    return False
 
 
 @dataclass(frozen=True)
@@ -254,17 +411,17 @@ def coupled_hypergraph_family(n: int, s: int, p_levels: list[float], seed: int) 
     if any(not 0.0 <= p <= 1.0 for p in p_levels):
         raise ValueError("probability out of range")
     p_max = max(p_levels)
-    draws = _uniforms(_rng(seed))
-    ranks = _sampled_ranks(math.comb(n, s), p_max, draws)
+    draws = _uniforms(seed)
+    ranks = list(_sampled_ranks(math.comb(n, s), p_max, draws))
     # Conditioned on inclusion at level p_max, an edge's latent uniform is
     # uniform on [0, p_max]; drawing it only for included edges matches the
     # joint law of thresholding a full table of uniforms. The thresholds
     # continue the same stream right after the ranks' last draw.
     thresholds = [p_max * next(draws) for _ in ranks]
-    edges = _unrank_sorted(ranks, n, s)
+    edges = list(_unrank_sorted(ranks, n, s))
     family = []
     for p in p_levels:
-        family.append(Hypergraph(n, [e for e, t in zip(edges, thresholds) if t <= p]))
+        family.append(Hypergraph._from_canonical(n, tuple(e for e, t in zip(edges, thresholds) if t <= p)))
     return family
 
 
@@ -287,7 +444,11 @@ def pm_threshold_sweep(
 
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
+    if s < 2:
+        raise ValueError(f"need s >= 2, got s={s}")
     for n in n_list:
+        if n < s:
+            raise ValueError(f"need n >= s={s}, got n={n}")
         if n % s != 0:
             raise ValueError(f"n={n} not divisible by s={s}")
     levels = sorted(p_grid)

@@ -52,6 +52,12 @@ def excess(h: Hypergraph, edge_indices, s: int) -> int:
     return union_size(h, idx) - (s - 1) * len(idx)
 
 
+def forced_violator_size(n: int, s: int) -> int:
+    """f = ceil((n+1)/(s-1)): any f s-edges on n vertices span at most
+    n <= (s-1)f - 1 vertices, so every set of f edges violates."""
+    return -(-(n + 1) // (s - 1))
+
+
 def _incidence_core(masks) -> list[int]:
     """Positions of the edges in the 2-core of the vertex-edge incidence
     graph, ascending: repeatedly drop any edge that shares at most one
@@ -193,7 +199,7 @@ def check_sparsity(h: Hypergraph, m: int, s: int) -> SparsityVerdict:
         raise ValueError(f"need s >= 2, got s={s}")
 
     masks = h.edge_masks
-    forced = -(-(h.n + 1) // (s - 1))
+    forced = forced_violator_size(h.n, s)
     if forced <= m and len(masks) >= forced:
         found = _min_cardinality_violator(masks[:forced], limit=forced, s=s)
         if found is None:

@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .hypergraph import Hypergraph
 from .lemmas import (
@@ -28,6 +27,9 @@ from .lemmas import (
 from .matching import find_perfect_matching
 from .sampling import derive_seed
 from .sparsity import brute_force_sparsity, check_sparsity, excess
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -126,6 +128,15 @@ def small_cut_suite(
     return report
 
 
+def _suite_rng(seed: int, *path: int) -> np.random.Generator:
+    """numpy's Philox generator on the stream derive_seed(seed, *path).
+    Only the randomized suites draw integers and choices from numpy, so
+    numpy is imported here and nowhere else in the package."""
+    import numpy as np
+
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(derive_seed(seed, *path))))
+
+
 def _random_uniform_hypergraph(
     rng: np.random.Generator, n: int, s: int, edge_count: int
 ) -> Hypergraph:
@@ -146,9 +157,7 @@ def two_section_bound_suite(
     report = SuiteReport("edgebound")
     attempt = 0
     while report.checked < count and attempt < max_attempts:
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(derive_seed(seed, attempt)))
-        )
+        rng = _suite_rng(seed, attempt)
         attempt += 1
         n = int(rng.integers(s + 4, max_n + 1))
         edges = int(rng.integers(2, n // 2 + 2))
@@ -184,9 +193,7 @@ def sparsity_oracle_suite(
     edge meeting the union of the others in >= 2 vertices."""
     report = SuiteReport("sparsity-oracle")
     for i in range(count):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(derive_seed(seed, i)))
-        )
+        rng = _suite_rng(seed, i)
         n = int(rng.integers(s + 2, max_n + 1))
         edges = int(rng.integers(1, max_edge_count + 1))
         h = _random_uniform_hypergraph(rng, n, s, edges)
@@ -254,9 +261,7 @@ def matching_oracle_suite(
         produced = 0
         attempt = 0
         while produced < count_per_s:
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(derive_seed(seed, s, attempt)))
-            )
+            rng = _suite_rng(seed, s, attempt)
             attempt += 1
             n = int(rng.integers(s, max_n + 1))
             target_edges = int(rng.integers(1, max(2, 3 * n // s)))

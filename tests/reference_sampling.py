@@ -1,8 +1,10 @@
 """Reference sampler: the comb-walk unranker and the scalar-draw geometric
-skipper that the table-driven unranker and the chunked uniform stream in
-critgraph.sampling replaced, kept verbatim.
+skipper that the table-driven unranker and the streamed uniforms in
+critgraph.sampling replaced, kept verbatim, and numpy's SeedSequence and
+Philox generator, which the pure-Python ones in critgraph.sampling must
+reproduce bit for bit.
 
-Both pairs must agree exactly, not only in distribution: every sampled
+Each pair must agree exactly, not only in distribution: every sampled
 edge, sweep table and certificate byte depends on them, so the tests
 compare their outputs on the same seeds and ranks.
 """
@@ -12,6 +14,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+
+def numpy_rng(seed: int) -> np.random.Generator:
+    """numpy's Philox generator seeded through SeedSequence(seed)."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def numpy_seed(base: int, *path: int) -> int:
+    """The first uint64 of SeedSequence(base, spawn_key=path)."""
+    seq = np.random.SeedSequence(base, spawn_key=tuple(path))
+    return int(seq.generate_state(1, np.uint64)[0])
 
 
 def _unrank_subset(rank: int, n: int, s: int) -> tuple[int, ...]:

@@ -198,6 +198,7 @@ def test_cli_construct_exit_codes(tmp_path):
 def test_cli_construct_usage_errors(tmp_path):
     assert main(["construct", "--r", "0", "--k", "5"]) == 1
     assert main(["construct", "--r", "1", "--k", "1"]) == 1
+    assert main(["construct", "--r", "1", "--k", "3", "--matching-budget", "nan"]) == 1
     with pytest.raises(SystemExit) as exc:
         main(["construct", "--r", "nonsense", "--k", "5"])
     assert exc.value.code == 1
@@ -297,3 +298,47 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "4,1.0,2,2,1.0" in proc.stdout
+
+
+@pytest.mark.parametrize("C", ["-1", "0", "nan", "inf", "-inf"])
+def test_cli_construct_rejects_bad_constant(tmp_path, C, capsys):
+    out = tmp_path / "cert.json"
+    argv = ["construct", "--r", "1", "--k", "3", f"--C={C}", "--seed", "1", "--restarts", "0",
+            "--quiet", "--out", str(out)]
+    assert main(argv) == 1
+    assert "C must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["construct", "--r", "1", "--k", "3"],
+     ["sweep", "--s", "3", "--n", "6", "--p", "0.1", "--samples", "2"],
+     ["lemma-check", "--suite", "sparsity-oracle", "--count", "2"]],
+)
+def test_cli_rejects_negative_seed(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed=-1"])
+    assert exc.value.code == 1
+    assert "seed must be a nonnegative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "s, n, message",
+    [("0", "6", "need s >= 2"), ("1", "6", "need s >= 2"), ("-2", "6", "need s >= 2"),
+     ("3", "0", "need n >= s"), ("3", "-3", "need n >= s"), ("4", "3,8", "need n >= s")],
+)
+def test_cli_sweep_rejects_bad_shape(s, n, message, capsys):
+    assert main(["sweep", "--s", s, "--n", n, "--p", "0.1", "--samples", "2", "--seed", "1"]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("C", [float("nan"), float("inf"), -1.0, 0.0, 10**400])
+def test_decoder_rejects_bad_constant(tmp_path, C):
+    doc = _frozen_doc()
+    doc["params"]["C"] = C
+    with pytest.raises(CertificateFormatError):
+        certificate_from_dict(doc)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import pickle
 from itertools import combinations
 from pathlib import Path
 
@@ -13,13 +14,12 @@ import hypothesis.strategies as st
 from amplification import sample_amplified, sample_union_rounds
 from reference_sampling import _sampled_ranks as reference_sampled_ranks
 from reference_sampling import _unrank_subset as reference_unrank
+from reference_sampling import numpy_rng, numpy_seed
 from critgraph.certformat import certificate_from_dict, certificate_to_json, write_sweep_csv
 from critgraph.certify import verify_construction
 from critgraph.hypergraph import Hypergraph
 from critgraph.sampling import (
-    _CHUNK,
     ConstructionParams,
-    _rng,
     _sampled_ranks,
     _uniforms,
     _unrank_sorted,
@@ -253,8 +253,11 @@ def test_sweep_table_golden_digest(tmp_path):
     )
 
 
-# Oracles: the table-driven unranker and the chunked uniform stream against
-# the comb-walk unranker and scalar draws they replaced.
+# Oracles: the table-driven unranker and the pure-Python uniform stream
+# against the comb-walk unranker and numpy's scalar draws.
+
+# A stream length well past one Philox block of four doubles.
+_MANY = 1024
 
 
 @st.composite
@@ -269,7 +272,7 @@ def sorted_ranks(draw):
 @given(sorted_ranks())
 def test_unrank_sorted_equals_reference(case):
     n, s, ranks = case
-    assert _unrank_sorted(ranks, n, s) == [reference_unrank(r, n, s) for r in ranks]
+    assert list(_unrank_sorted(ranks, n, s)) == [reference_unrank(r, n, s) for r in ranks]
 
 
 def test_unrank_sorted_beyond_64_bits():
@@ -277,20 +280,20 @@ def test_unrank_sorted_beyond_64_bits():
     total = math.comb(n, s)
     assert total > 2**63
     ranks = [0, 1, 2**63 - 1, 2**63, 2**63 + 12345, total // 2, total - 2, total - 1]
-    assert _unrank_sorted(ranks, n, s) == [reference_unrank(r, n, s) for r in ranks]
-    assert _unrank_sorted([total - 1], n, s) == [tuple(range(n - s, n))]
+    assert list(_unrank_sorted(ranks, n, s)) == [reference_unrank(r, n, s) for r in ranks]
+    assert list(_unrank_sorted([total - 1], n, s)) == [tuple(range(n - s, n))]
 
 
 @given(
     st.integers(0, 2**64 - 1),
     # Below about 2e-307 the reference overflows; see test_sample_subnormal_p.
     st.one_of(st.sampled_from([0.0, 1.0, 1e-12, 0.5]), st.floats(1e-300, 1.0)),
-    st.sampled_from([1, 10, _CHUNK - 1, _CHUNK + 1, 3 * _CHUNK]),
+    st.sampled_from([1, 10, _MANY - 1, _MANY + 1, 3 * _MANY]),
 )
 def test_sampled_ranks_equal_scalar_draws(seed, p, total):
-    draws = _uniforms(_rng(seed))
-    scalar = _rng(seed)
-    assert _sampled_ranks(total, p, draws) == reference_sampled_ranks(total, p, scalar)
+    draws = _uniforms(seed)
+    scalar = numpy_rng(seed)
+    assert list(_sampled_ranks(total, p, draws)) == reference_sampled_ranks(total, p, scalar)
     # The stream continues exactly where the scalar draws stopped.
     assert [next(draws) for _ in range(3)] == [scalar.random() for _ in range(3)]
 
@@ -302,15 +305,15 @@ def test_sample_subnormal_p():
 
 
 def test_sampled_ranks_cross_chunks():
-    # About 1.5 chunks of draws: the geometric skips straddle a chunk edge.
-    ranks = _sampled_ranks(3 * _CHUNK, 0.5, _uniforms(_rng(8)))
-    assert len(ranks) + 1 > _CHUNK
-    assert ranks == reference_sampled_ranks(3 * _CHUNK, 0.5, _rng(8))
+    # About 1.5 * _MANY draws, hundreds of Philox blocks of four doubles.
+    ranks = list(_sampled_ranks(3 * _MANY, 0.5, _uniforms(8)))
+    assert len(ranks) + 1 > _MANY
+    assert ranks == reference_sampled_ranks(3 * _MANY, 0.5, numpy_rng(8))
 
 
 def _reference_family(n, s, levels, seed):
     p_max = max(levels)
-    rng = _rng(seed)
+    rng = numpy_rng(seed)
     ranks = reference_sampled_ranks(math.comb(n, s), p_max, rng)
     thresholds = [p_max * rng.random() for _ in ranks]
     return [
@@ -333,7 +336,86 @@ def test_coupled_family_equals_reference(seed, n, levels):
 def test_sample_equals_reference_n61(seed):
     params = derive_params(1, 16)
     n, s = params.n, params.s
-    ranks = reference_sampled_ranks(math.comb(n, s), params.q, _rng(seed))
-    assert len(ranks) + 1 > _CHUNK
+    ranks = reference_sampled_ranks(math.comb(n, s), params.q, numpy_rng(seed))
+    assert len(ranks) + 1 > _MANY
     want = Hypergraph(n, [reference_unrank(r, n, s) for r in ranks])
     assert sample_hypergraph(n, s, params.q, seed) == want
+
+
+# The pure-Python SeedSequence and Philox4x64-10 against numpy's.
+
+
+@st.composite
+def spawn_keys(draw):
+    # Words of one and of several 32-bit words each.
+    word = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**96))
+    return tuple(draw(st.lists(word, max_size=3)))
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 128).flatmap(lambda bits: st.integers(0, 2**bits - 1)), spawn_keys())
+def test_derive_seed_equals_numpy(base, path):
+    assert derive_seed(base, *path) == numpy_seed(base, *path)
+
+
+@pytest.mark.parametrize("base", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 - 1, 2**600 + 12345])
+@pytest.mark.parametrize("path", [(), (0,), (2**32,), (7, 2**64 - 1), (2**70 + 1, 0, 2**33)])
+def test_derive_seed_equals_numpy_at_word_edges(base, path):
+    # 2**600 has 19 words: more entropy than the tabulated hash constants.
+    assert derive_seed(base, *path) == numpy_seed(base, *path)
+
+
+def test_derive_seed_rejects_negative_input():
+    with pytest.raises(ValueError):
+        derive_seed(-1)
+    with pytest.raises(ValueError):
+        derive_seed(1, -2)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 - 1, 2**130 + 3])
+def test_uniforms_equal_numpy_philox(seed):
+    draws = _uniforms(seed)
+    count = 4 * _MANY + 3  # over a thousand blocks, ending inside one
+    assert [next(draws) for _ in range(count)] == numpy_rng(seed).random(count).tolist()
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(1, 64))
+def test_uniforms_equal_numpy_philox_random_seeds(seed, count):
+    draws = _uniforms(seed)
+    assert [next(draws) for _ in range(count)] == numpy_rng(seed).random(count).tolist()
+
+
+# The sampler builds its hypergraphs with the unchecked constructor; they
+# must be indistinguishable from the checked ones.
+
+
+def _same_value(fast: Hypergraph, checked: Hypergraph) -> None:
+    assert fast == checked and hash(fast) == hash(checked)
+    assert pickle.dumps(fast) == pickle.dumps(checked)
+    assert type(fast.edges) is tuple and all(type(e) is tuple for e in fast.edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.floats(0.05, 8.0), st.integers(0, 2**64 - 1))
+def test_sampled_hypergraph_equals_checked_constructor(k, C, seed):
+    params = derive_params(1, k, C)
+    fast = sample_hypergraph(params.n, params.s, params.q, seed)
+    checked = Hypergraph(fast.n, [list(reversed(e)) for e in reversed(fast.edges)])
+    _same_value(fast, checked)
+    # write_certificate writes exactly certificate_to_json's text.
+    texts = [
+        certificate_to_json(verify_construction(h, params, seed=seed, stop_early=False))
+        for h in (fast, checked)
+    ]
+    assert texts[0] == texts[1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(4, 14),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+)
+def test_coupled_family_equals_checked_constructor(seed, n, levels):
+    for h in coupled_hypergraph_family(n, 3, levels, seed):
+        _same_value(h, Hypergraph(h.n, list(h.edges)))
