@@ -252,11 +252,17 @@ _SUITES = {
 
 
 def _cmd_lemma_check(args) -> int:
+    if args.count < 1:
+        print("error: need --count >= 1", file=sys.stderr)
+        return EXIT_USAGE
     try:
         report = _SUITES[args.suite](args)
     except CapExceeded as err:
         print(f"cap exceeded: {err}", file=sys.stderr)
         return EXIT_CAP
+    except ValueError as err:  # a request the suite refuses: nothing was checked
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     name = report.suite
     verdict = "PASS" if report.passed else "FAIL"
     print(

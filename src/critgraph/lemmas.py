@@ -7,6 +7,9 @@ construction, validated exhaustively on small instances:
   * in the 2-section of a locally sparse uniform hypergraph, every
     (s+1)-vertex subset induces at most C(s,2) + 2 edges.
 
+The first is checked in bulk, without building hypergraphs, by
+`suites.connected_bound_suite`.
+
 Each check either returns a verdict/witness or raises a typed error;
 unexpected internal contradictions surface as CounterexampleFound so the
 suite runner can serialize them instead of guessing a repair.
@@ -18,12 +21,13 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+from .certify import min_subset_edges
 from .hypergraph import (
     Graph,
     Hypergraph,
+    complement,
     components,
     components_within,
-    is_connected,
     two_section,
 )
 from .sparsity import check_sparsity
@@ -50,14 +54,6 @@ class CutWitness:
     w: tuple[int, ...]
     side_a: tuple[int, ...]
     side_b: tuple[int, ...]
-
-
-def connected_bound_check(h: Hypergraph) -> bool:
-    """Whether |V| <= 1 + sum(|e| - 1); holds for every connected
-    hypergraph. Raises on disconnected input."""
-    if not is_connected(two_section(h)):
-        raise ValueError("hypergraph is not connected")
-    return h.n <= 1 + sum(len(e) - 1 for e in h.edges)
 
 
 def density_hypothesis_check(h: Hypergraph, cap_edges: int = 22) -> bool:
@@ -169,7 +165,8 @@ def find_small_cut(h: Hypergraph) -> CutWitness:
 
 def edge_bound_check(h: Hypergraph, s: int) -> tuple[bool, tuple[tuple[int, ...], int]]:
     """Whether every (s+1)-vertex subset of the 2-section induces at most
-    C(s,2) + 2 edges; returns the maximizing subset as evidence either way.
+    C(s,2) + 2 edges; returns the maximizing subset (lexicographically
+    first among ties) and its edge count as evidence either way.
 
     Requires the span condition for all edge subsets smaller than 2^(s+1)
     (checked through the sparsity window 2^(s+1) - 1); failing that raises
@@ -184,20 +181,10 @@ def edge_bound_check(h: Hypergraph, s: int) -> tuple[bool, tuple[tuple[int, ...]
     window = 2 ** (s + 1) - 1
     if not check_sparsity(h, window, s).holds:
         raise HypothesisNotMet("sparsity window check failed")
-    g = two_section(h)
-    masks = g.adjacency_masks
     bound = math.comb(s, 2) + 2
-    worst_count = -1
-    worst: tuple[int, ...] = ()
-    for subset in combinations(range(g.n), s + 1):
-        mask = 0
-        count = 0
-        for v in subset:
-            count += (masks[v] & mask).bit_count()
-            mask |= 1 << v
-        if count > worst_count:
-            worst_count = count
-            worst = subset
+    # The densest subset of the 2-section is the sparsest of its complement.
+    fewest, worst = min_subset_edges(complement(two_section(h)), s + 1)
+    worst_count = math.comb(s + 1, 2) - fewest
     return worst_count <= bound, (worst, worst_count)
 
 
@@ -224,22 +211,3 @@ def require_within_cap(ns, max_edges: int, sizes: set[int], cap: int = ENUMERATI
         total += sum(math.comb(count, j) for j in range(min(max_edges, count) + 1))
     if total > cap:
         raise CapExceeded(f"{total} hypergraphs exceeds cap {cap}")
-
-
-def enumerate_hypergraphs(
-    n: int,
-    max_edges: int,
-    sizes: set[int],
-    cap: int = ENUMERATION_CAP,
-):
-    """All labelled hypergraphs on n vertices with at most max_edges edges
-    drawn from the given size classes, in canonical order (by edge count,
-    then lexicographic edge combination). The cap is checked at the call,
-    before anything is enumerated."""
-    require_within_cap([n], max_edges, sizes, cap)
-    candidates = candidate_edges(n, sizes)
-    return (
-        Hypergraph(n, chosen)
-        for count in range(min(max_edges, len(candidates)) + 1)
-        for chosen in combinations(candidates, count)
-    )

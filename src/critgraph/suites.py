@@ -20,7 +20,6 @@ from .lemmas import (
     HypothesisNotMet,
     candidate_edges,
     edge_bound_check,
-    enumerate_hypergraphs,
     find_small_cut,
     require_within_cap,
 )
@@ -53,49 +52,111 @@ class SuiteReport:
         }
 
 
+def _merge_component(comps: list[int], mask: int) -> list[int]:
+    """The intersection components of an edge set, as disjoint vertex
+    masks, after adding an edge with vertex mask `mask`: every component
+    the edge meets merges with it into one, appended last."""
+    rest = []
+    for c in comps:
+        if c & mask:
+            mask |= c
+        else:
+            rest.append(c)
+    rest.append(mask)
+    return rest
+
+
+def _at_least(name: str, value: int, low: int) -> None:
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
+def _in_enumeration_order(found: list[tuple[list[int], dict]]) -> list[dict]:
+    """Counterexamples found depth first, put back in the order of an
+    enumeration by edge count, then lexicographic index combination."""
+    found.sort(key=lambda item: (len(item[0]), item[0]))
+    return [cx for _, cx in found]
+
+
 def connected_bound_suite(
     max_n: int = 6, max_edges: int = 5, sizes: set[int] | None = None
 ) -> SuiteReport:
     """Every connected labelled hypergraph within the caps satisfies
     |V| <= 1 + sum(|e| - 1).
 
-    Works on raw edge masks instead of Hypergraph values: the full
-    enumeration for n = 6 covers a few million instances and the check is
-    pure arithmetic plus a component merge. Raises CapExceeded before
-    enumerating anything when the whole request is past the cap.
+    One depth-first walk per n over increasing candidate-index sets that
+    carries the union, the intersection components and the slack
+    1 + sum(|e| - 1). At each set, the one-edge extensions that are
+    connected and cover every vertex are counted in bulk with bitsets, per
+    edge-size class; only sets with room for two more edges are walked
+    into. Raises CapExceeded before enumerating anything when the whole
+    request is past the cap.
     """
     sizes = sizes or {2, 3, 4}
+    _at_least("max_n", max_n, 1)
+    _at_least("max_edges", max_edges, 0)
     require_within_cap(range(1, max_n + 1), max_edges, sizes)
     report = SuiteReport("obs1")
     for n in range(1, max_n + 1):
-        full = (1 << n) - 1
-        cands = [(sum(1 << v for v in e), len(e), e) for e in candidate_edges(n, sizes)]
-        for count in range(min(max_edges, len(cands)) + 1):
-            for chosen in combinations(cands, count):
-                union = 0
-                for mask, _, _ in chosen:
-                    union |= mask
-                if union != full and n > 1:
-                    continue  # an uncovered vertex is isolated
-                comps: list[int] = []
-                for mask, _, _ in chosen:
-                    merged = mask
-                    rest = []
-                    for c in comps:
-                        if c & merged:
-                            merged |= c
-                        else:
-                            rest.append(c)
-                    comps = rest + [merged]
-                if len(comps) > 1 or (not chosen and n > 1):
-                    continue
-                report.checked += 1
-                slack = 1 + sum(size - 1 for _, size, _ in chosen)
-                if n > slack:
-                    report.counterexamples.append(
-                        {"n": n, "edges": [list(e) for _, _, e in chosen], "bound": slack}
-                    )
+        if n == 1:
+            report.checked += 1  # no edges: connected, and 1 <= 1
+        if max_edges:
+            _connected_bound_walk(n, max_edges, sizes, report)
     return report
+
+
+def _connected_bound_walk(n: int, max_edges: int, sizes: set[int], report: SuiteReport) -> None:
+    """Add to `report` every connected nonempty edge set on n vertices
+    with at most max_edges candidate edges."""
+    cands = candidate_edges(n, sizes)
+    masks = [sum(1 << v for v in e) for e in cands]
+    every = (1 << len(cands)) - 1
+    above = [every ^ ((2 << j) - 1) for j in range(len(cands))]
+    classes = [
+        (k, sum(1 << j for j, e in enumerate(cands) if len(e) == k))
+        for k in sorted(sizes)
+        if 1 <= k <= n
+    ]
+    # For every vertex set S: the candidates containing all of S, and the
+    # candidates meeting S, as bitsets over candidate indices.
+    contain = [every] * (1 << n)
+    meet = [0] * (1 << n)
+    for vs in range(1, 1 << n):
+        low = vs & -vs
+        inc_v = sum(1 << j for j, m in enumerate(masks) if m & low)
+        contain[vs] = contain[vs ^ low] & inc_v
+        meet[vs] = meet[vs ^ low] | inc_v
+    full = (1 << n) - 1
+    chosen: list[int] = []
+    found: list[tuple[list[int], dict]] = []
+
+    def visit(children: int, union: int, comps: list[int], slack: int) -> None:
+        # A child stays connected iff its edge meets every component, and
+        # covers V iff its edge holds every vertex the set leaves out.
+        closing = children & contain[full ^ union]
+        for c in comps:
+            closing &= meet[c]
+        for k, cls in classes:
+            hit = closing & cls
+            if not hit:
+                continue
+            report.checked += hit.bit_count()
+            bound = slack + k - 1
+            if n > bound:
+                while hit:
+                    j = (hit & -hit).bit_length() - 1
+                    hit &= hit - 1
+                    edges = [list(cands[i]) for i in chosen] + [list(cands[j])]
+                    found.append((chosen + [j], {"n": n, "edges": edges, "bound": bound}))
+        if len(chosen) + 2 > max_edges:
+            return
+        for j in range(chosen[-1] + 1 if chosen else 0, len(cands)):
+            chosen.append(j)
+            visit(above[j], union | masks[j], _merge_component(comps, masks[j]), slack + len(cands[j]) - 1)
+            chosen.pop()
+
+    visit(every, 0, [], 1)
+    report.counterexamples += _in_enumeration_order(found)
 
 
 def small_cut_suite(
@@ -104,28 +165,65 @@ def small_cut_suite(
     """find_small_cut returns a valid witness of size <= 2 on every
     labelled hypergraph within the caps that has V not an edge and
     satisfies the span condition; witness validity is re-verified against
-    the full 2-section inside find_small_cut itself. Raises CapExceeded
-    before enumerating anything when the whole request is past the cap."""
+    the full 2-section inside find_small_cut itself.
+
+    One depth-first walk per n over increasing candidate-index sets. The
+    span condition is hereditary, so adding edge j tests only the subsets
+    that contain j, and a set that fails it counts its whole subtree as
+    skipped without visiting it. Edge sets holding V as an edge are counted
+    neither checked nor skipped. Raises CapExceeded before enumerating
+    anything when the whole request is past the cap.
+    """
     sizes = sizes or {2, 3}
+    _at_least("min_n", min_n, 4)
+    _at_least("max_n", max_n, min_n)
+    _at_least("max_edges", max_edges, 0)
     require_within_cap(range(min_n, max_n + 1), max_edges, sizes)
     report = SuiteReport("blocks")
     for n in range(min_n, max_n + 1):
-        for h in enumerate_hypergraphs(n, max_edges, sizes):
-            if tuple(range(n)) in h.edges:
-                continue
-            try:
-                find_small_cut(h)
-            except HypothesisNotMet:
-                report.skipped += 1
-                continue
-            except CounterexampleFound as err:
-                report.counterexamples.append(
-                    {"n": h.n, "edges": [list(e) for e in h.edges], "error": str(err)}
-                )
-                report.checked += 1
-                continue
-            report.checked += 1
+        _small_cut_walk(n, max_edges, sizes, report)
     return report
+
+
+def _small_cut_walk(n: int, max_edges: int, sizes: set[int], report: SuiteReport) -> None:
+    """Add to `report` every edge set on n vertices with at most
+    max_edges candidate edges, V excluded."""
+    cands = [e for e in candidate_edges(n, sizes) if len(e) < n]
+    masks = [sum(1 << v for v in e) for e in cands]
+    chosen: list[int] = []
+    found: list[tuple[list[int], dict]] = []
+
+    def visit(spans: list[tuple[int, int]]) -> None:
+        # spans: (union, sum of |e| - 1) of every subset of the chosen
+        # edges; each union has at least that many vertices.
+        h = Hypergraph(n, [cands[i] for i in chosen])
+        try:
+            find_small_cut(h)
+        except HypothesisNotMet:
+            report.skipped += 1
+        except CounterexampleFound as err:
+            found.append(
+                (list(chosen), {"n": h.n, "edges": [list(e) for e in h.edges], "error": str(err)})
+            )
+            report.checked += 1
+        else:
+            report.checked += 1
+        room = max_edges - len(chosen) - 1
+        if room < 0:
+            return
+        for j in range(chosen[-1] + 1 if chosen else 0, len(cands)):
+            mask, need = masks[j], len(cands[j]) - 1
+            grown = [(union | mask, total + need) for union, total in spans]
+            if all(total <= union.bit_count() for union, total in grown):
+                chosen.append(j)
+                visit(spans + grown)
+                chosen.pop()
+            else:
+                free = len(cands) - j - 1
+                report.skipped += sum(math.comb(free, t) for t in range(room + 1))
+
+    visit([(0, 0)])
+    report.counterexamples += _in_enumeration_order(found)
 
 
 def _suite_rng(seed: int, *path: int) -> np.random.Generator:
@@ -154,6 +252,8 @@ def two_section_bound_suite(
     """Random s-uniform instances that pass the sparsity window check must
     have every (s+1)-subset of the 2-section inducing at most
     C(s,2) + 2 edges."""
+    _at_least("count", count, 1)
+    _at_least("max_n", max_n, s + 4)
     report = SuiteReport("edgebound")
     attempt = 0
     while report.checked < count and attempt < max_attempts:
@@ -191,6 +291,8 @@ def sparsity_oracle_suite(
     reported violator must re-validate: within the window, actually
     violating, inclusion-minimal, intersection-connected, and with every
     edge meeting the union of the others in >= 2 vertices."""
+    _at_least("count", count, 1)
+    _at_least("max_n", max_n, s + 2)
     report = SuiteReport("sparsity-oracle")
     for i in range(count):
         rng = _suite_rng(seed, i)
@@ -233,14 +335,7 @@ def _violator_problems(h: Hypergraph, idx: list[int], s: int, m: int) -> list[st
     # Intersection-connectivity of the violator.
     comps: list[int] = []
     for i in idx:
-        merged = h.edge_masks[i]
-        rest_masks = []
-        for c in comps:
-            if c & merged:
-                merged |= c
-            else:
-                rest_masks.append(c)
-        comps = rest_masks + [merged]
+        comps = _merge_component(comps, h.edge_masks[i])
     if len(comps) > 1:
         problems.append("violator is not intersection-connected")
     return problems
@@ -256,6 +351,8 @@ def matching_oracle_suite(
     """Solver verdict must equal exhaustive enumeration over all edge
     subsets of the right cardinality, and every witness must re-validate
     as a disjoint cover."""
+    _at_least("count_per_s", count_per_s, 1)
+    _at_least("max_n", max_n, max(uniformities))
     report = SuiteReport("matching-oracle")
     for s in uniformities:
         produced = 0

@@ -1,0 +1,142 @@
+"""The exhaustive lemma-check suites as they were before the depth-first
+walks, kept verbatim as the oracle for `critgraph.suites`: the walks must
+return equal `SuiteReport` dicts. Also the per-instance helpers that only
+tests call: the labelled-hypergraph enumerator, the connected-bound check
+and the (s+1)-subset scan that `edge_bound_check` used before it shared
+`certify.min_subset_edges`."""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+from critgraph.hypergraph import Hypergraph, is_connected, two_section
+from critgraph.lemmas import (
+    ENUMERATION_CAP,
+    CounterexampleFound,
+    HypothesisNotMet,
+    candidate_edges,
+    find_small_cut,
+    require_within_cap,
+)
+from critgraph.suites import SuiteReport
+
+
+def connected_bound_check(h: Hypergraph) -> bool:
+    """Whether |V| <= 1 + sum(|e| - 1); holds for every connected
+    hypergraph. Raises on disconnected input."""
+    if not is_connected(two_section(h)):
+        raise ValueError("hypergraph is not connected")
+    return h.n <= 1 + sum(len(e) - 1 for e in h.edges)
+
+
+def enumerate_hypergraphs(
+    n: int,
+    max_edges: int,
+    sizes: set[int],
+    cap: int = ENUMERATION_CAP,
+):
+    """All labelled hypergraphs on n vertices with at most max_edges edges
+    drawn from the given size classes, in canonical order (by edge count,
+    then lexicographic edge combination). The cap is checked at the call,
+    before anything is enumerated."""
+    require_within_cap([n], max_edges, sizes, cap)
+    candidates = candidate_edges(n, sizes)
+    return (
+        Hypergraph(n, chosen)
+        for count in range(min(max_edges, len(candidates)) + 1)
+        for chosen in combinations(candidates, count)
+    )
+
+
+def max_subset_edges(h: Hypergraph, s: int) -> tuple[tuple[int, ...], int]:
+    """The (s+1)-vertex subset of the 2-section inducing the most edges,
+    the lexicographically first among ties, with its edge count."""
+    g = two_section(h)
+    masks = g.adjacency_masks
+    worst_count = -1
+    worst: tuple[int, ...] = ()
+    for subset in combinations(range(g.n), s + 1):
+        mask = 0
+        count = 0
+        for v in subset:
+            count += (masks[v] & mask).bit_count()
+            mask |= 1 << v
+        if count > worst_count:
+            worst_count = count
+            worst = subset
+    return worst, worst_count
+
+
+def connected_bound_suite(
+    max_n: int = 6, max_edges: int = 5, sizes: set[int] | None = None
+) -> SuiteReport:
+    """Every connected labelled hypergraph within the caps satisfies
+    |V| <= 1 + sum(|e| - 1).
+
+    Works on raw edge masks instead of Hypergraph values: the full
+    enumeration for n = 6 covers a few million instances and the check is
+    pure arithmetic plus a component merge. Raises CapExceeded before
+    enumerating anything when the whole request is past the cap.
+    """
+    sizes = sizes or {2, 3, 4}
+    require_within_cap(range(1, max_n + 1), max_edges, sizes)
+    report = SuiteReport("obs1")
+    for n in range(1, max_n + 1):
+        full = (1 << n) - 1
+        cands = [(sum(1 << v for v in e), len(e), e) for e in candidate_edges(n, sizes)]
+        for count in range(min(max_edges, len(cands)) + 1):
+            for chosen in combinations(cands, count):
+                union = 0
+                for mask, _, _ in chosen:
+                    union |= mask
+                if union != full and n > 1:
+                    continue  # an uncovered vertex is isolated
+                comps: list[int] = []
+                for mask, _, _ in chosen:
+                    merged = mask
+                    rest = []
+                    for c in comps:
+                        if c & merged:
+                            merged |= c
+                        else:
+                            rest.append(c)
+                    comps = rest + [merged]
+                if len(comps) > 1 or (not chosen and n > 1):
+                    continue
+                report.checked += 1
+                slack = 1 + sum(size - 1 for _, size, _ in chosen)
+                if n > slack:
+                    report.counterexamples.append(
+                        {"n": n, "edges": [list(e) for _, _, e in chosen], "bound": slack}
+                    )
+    return report
+
+
+def small_cut_suite(
+    min_n: int = 4, max_n: int = 5, max_edges: int = 5, sizes: set[int] | None = None
+) -> SuiteReport:
+    """find_small_cut returns a valid witness of size <= 2 on every
+    labelled hypergraph within the caps that has V not an edge and
+    satisfies the span condition; witness validity is re-verified against
+    the full 2-section inside find_small_cut itself. Raises CapExceeded
+    before enumerating anything when the whole request is past the cap."""
+    sizes = sizes or {2, 3}
+    require_within_cap(range(min_n, max_n + 1), max_edges, sizes)
+    report = SuiteReport("blocks")
+    for n in range(min_n, max_n + 1):
+        for h in enumerate_hypergraphs(n, max_edges, sizes):
+            if tuple(range(n)) in h.edges:
+                continue
+            try:
+                find_small_cut(h)
+            except HypothesisNotMet:
+                report.skipped += 1
+                continue
+            except CounterexampleFound as err:
+                report.counterexamples.append(
+                    {"n": h.n, "edges": [list(e) for e in h.edges], "error": str(err)}
+                )
+                report.checked += 1
+                continue
+            report.checked += 1
+    return report

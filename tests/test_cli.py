@@ -248,6 +248,34 @@ def test_cli_lemma_check_obs1_cap_exceeded():
     assert main(["lemma-check", "--suite", "obs1", "--max-n", "9", "--max-edges", "9"]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["--suite", "edgebound", "--max-n", "3"], "max_n must be at least 7"),
+     (["--suite", "sparsity-oracle", "--max-n", "4"], "max_n must be at least 5"),
+     (["--suite", "matching-oracle", "--max-n", "3"], "max_n must be at least 4"),
+     (["--suite", "blocks", "--max-n", "3"], "max_n must be at least 4"),
+     (["--suite", "obs1", "--max-n", "-2"], "max_n must be at least 1"),
+     (["--suite", "obs1", "--max-edges", "-1"], "max_edges must be at least 0"),
+     (["--suite", "blocks", "--max-edges", "-1"], "max_edges must be at least 0"),
+     (["--suite", "edgebound", "--count", "-5"], "need --count >= 1"),
+     (["--suite", "matching-oracle", "--count", "0"], "need --count >= 1")],
+)
+def test_cli_lemma_check_refuses_vacuous_request(argv, message, capsys):
+    assert main(["lemma-check", *argv]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_cli_lemma_check_smallest_requests_pass(capsys):
+    assert main(["lemma-check", "--suite", "obs1", "--max-n", "1", "--max-edges", "0"]) == 0
+    assert main(["lemma-check", "--suite", "blocks", "--max-n", "4", "--max-edges", "0"]) == 0
+    assert main(["lemma-check", "--suite", "edgebound", "--max-n", "7", "--count", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "suite obs1: checked=1 skipped=0" in out
+    assert "suite blocks: checked=1 skipped=0" in out
+
+
 def test_cli_sweep_csv_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["sweep", "--s", "3", "--n", "6", "--p", "0,0.5,1", "--samples", "10", "--seed", "3"]

@@ -10,14 +10,13 @@ from critgraph.lemmas import (
     CapExceeded,
     CutWitness,
     HypothesisNotMet,
-    connected_bound_check,
     density_hypothesis_check,
     edge_bound_check,
-    enumerate_hypergraphs,
     find_small_cut,
 )
 
 from conftest import hypergraphs
+from reference_suites import connected_bound_check, enumerate_hypergraphs
 
 
 def test_connected_bound_examples():
