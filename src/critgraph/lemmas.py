@@ -37,6 +37,11 @@ class CapExceeded(Exception):
     """Requested enumeration is larger than the configured cap."""
 
 
+class RequestRefused(ValueError):
+    """A suite request with nothing to check: a count below 1, a negative
+    edge cap, or a vertex range below the smallest instance it uses."""
+
+
 class HypothesisNotMet(Exception):
     """The check's structural hypothesis fails on this input, so the bound
     is not claimed; distinct from a violated bound."""

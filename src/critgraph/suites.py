@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from typing import TYPE_CHECKING
 
@@ -18,6 +19,7 @@ from .hypergraph import Hypergraph
 from .lemmas import (
     CounterexampleFound,
     HypothesisNotMet,
+    RequestRefused,
     candidate_edges,
     edge_bound_check,
     find_small_cut,
@@ -68,7 +70,7 @@ def _merge_component(comps: list[int], mask: int) -> list[int]:
 
 def _at_least(name: str, value: int, low: int) -> None:
     if value < low:
-        raise ValueError(f"{name} must be at least {low}, got {value}")
+        raise RequestRefused(f"{name} must be at least {low}, got {value}")
 
 
 def _in_enumeration_order(found: list[tuple[list[int], dict]]) -> list[dict]:
@@ -89,8 +91,10 @@ def connected_bound_suite(
     1 + sum(|e| - 1). At each set, the one-edge extensions that are
     connected and cover every vertex are counted in bulk with bitsets, per
     edge-size class; only sets with room for two more edges are walked
-    into. Raises CapExceeded before enumerating anything when the whole
-    request is past the cap.
+    into, and the bitsets for a vertex set are built when the walk first
+    asks for it, so the work stays within the sets the cap counts. Raises
+    CapExceeded before enumerating anything when the whole request is past
+    the cap, and RequestRefused for a negative cap.
     """
     sizes = sizes or {2, 3, 4}
     _at_least("max_n", max_n, 1)
@@ -105,27 +109,52 @@ def connected_bound_suite(
     return report
 
 
+def _bitset(indices: list[int], width: int) -> int:
+    """The int with bit j set for every j in indices, built in time
+    linear in width."""
+    digits = bytearray(b"0" * width)
+    for j in indices:
+        digits[width - 1 - j] = ord("1")
+    return int(digits or b"0", 2)
+
+
 def _connected_bound_walk(n: int, max_edges: int, sizes: set[int], report: SuiteReport) -> None:
     """Add to `report` every connected nonempty edge set on n vertices
     with at most max_edges candidate edges."""
     cands = candidate_edges(n, sizes)
     masks = [sum(1 << v for v in e) for e in cands]
-    every = (1 << len(cands)) - 1
-    above = [every ^ ((2 << j) - 1) for j in range(len(cands))]
+    width = len(cands)
+    every = (1 << width) - 1
     classes = [
-        (k, sum(1 << j for j, e in enumerate(cands) if len(e) == k))
+        (k, _bitset([j for j, e in enumerate(cands) if len(e) == k], width))
         for k in sorted(sizes)
         if 1 <= k <= n
     ]
-    # For every vertex set S: the candidates containing all of S, and the
-    # candidates meeting S, as bitsets over candidate indices.
-    contain = [every] * (1 << n)
-    meet = [0] * (1 << n)
-    for vs in range(1, 1 << n):
-        low = vs & -vs
-        inc_v = sum(1 << j for j, m in enumerate(masks) if m & low)
-        contain[vs] = contain[vs ^ low] & inc_v
-        meet[vs] = meet[vs ^ low] | inc_v
+    holders: list[list[int]] = [[] for _ in range(n)]
+    for j, e in enumerate(cands):
+        for v in e:
+            holders[v].append(j)
+    # inc[v]: the candidates holding vertex v, as a bitset over candidate
+    # indices. The walk's vertex-set queries are built from these on first
+    # use, so the work stays within the visited sets, not 2^n.
+    inc = [_bitset(js, width) for js in holders]
+
+    @cache
+    def containing(vs: int) -> int:
+        out = every
+        for v in range(n):
+            if vs >> v & 1:
+                out &= inc[v]
+        return out
+
+    @cache
+    def meeting(vs: int) -> int:
+        out = 0
+        for v in range(n):
+            if vs >> v & 1:
+                out |= inc[v]
+        return out
+
     full = (1 << n) - 1
     chosen: list[int] = []
     found: list[tuple[list[int], dict]] = []
@@ -133,9 +162,9 @@ def _connected_bound_walk(n: int, max_edges: int, sizes: set[int], report: Suite
     def visit(children: int, union: int, comps: list[int], slack: int) -> None:
         # A child stays connected iff its edge meets every component, and
         # covers V iff its edge holds every vertex the set leaves out.
-        closing = children & contain[full ^ union]
+        closing = children & containing(full ^ union)
         for c in comps:
-            closing &= meet[c]
+            closing &= meeting(c)
         for k, cls in classes:
             hit = closing & cls
             if not hit:
@@ -152,7 +181,8 @@ def _connected_bound_walk(n: int, max_edges: int, sizes: set[int], report: Suite
             return
         for j in range(chosen[-1] + 1 if chosen else 0, len(cands)):
             chosen.append(j)
-            visit(above[j], union | masks[j], _merge_component(comps, masks[j]), slack + len(cands[j]) - 1)
+            above = every ^ ((2 << j) - 1)
+            visit(above, union | masks[j], _merge_component(comps, masks[j]), slack + len(cands[j]) - 1)
             chosen.pop()
 
     visit(every, 0, [], 1)
@@ -172,7 +202,8 @@ def small_cut_suite(
     that contain j, and a set that fails it counts its whole subtree as
     skipped without visiting it. Edge sets holding V as an edge are counted
     neither checked nor skipped. Raises CapExceeded before enumerating
-    anything when the whole request is past the cap.
+    anything when the whole request is past the cap, and RequestRefused
+    for a range or cap with nothing to check.
     """
     sizes = sizes or {2, 3}
     _at_least("min_n", min_n, 4)

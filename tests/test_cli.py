@@ -257,14 +257,25 @@ def test_cli_lemma_check_obs1_cap_exceeded():
      (["--suite", "obs1", "--max-n", "-2"], "max_n must be at least 1"),
      (["--suite", "obs1", "--max-edges", "-1"], "max_edges must be at least 0"),
      (["--suite", "blocks", "--max-edges", "-1"], "max_edges must be at least 0"),
-     (["--suite", "edgebound", "--count", "-5"], "need --count >= 1"),
-     (["--suite", "matching-oracle", "--count", "0"], "need --count >= 1")],
+     (["--suite", "edgebound", "--count", "-5"], "count must be at least 1"),
+     (["--suite", "matching-oracle", "--count", "0"], "count_per_s must be at least 1")],
 )
 def test_cli_lemma_check_refuses_vacuous_request(argv, message, capsys):
     assert main(["lemma-check", *argv]) == 1
     captured = capsys.readouterr()
     assert message in captured.err
     assert "PASS" not in captured.out
+
+
+def test_cli_lemma_check_surfaces_internal_errors(monkeypatch):
+    # Only a refused request is a usage error; a ValueError raised while
+    # checking is a fault in the checker and must not read as one.
+    def broken(h):
+        raise ValueError("internal contradiction")
+
+    monkeypatch.setattr(suites, "find_small_cut", broken)
+    with pytest.raises(ValueError, match="internal contradiction"):
+        main(["lemma-check", "--suite", "blocks", "--max-n", "4", "--max-edges", "1"])
 
 
 def test_cli_lemma_check_smallest_requests_pass(capsys):

@@ -19,6 +19,7 @@ from critgraph.lemmas import (
     CapExceeded,
     CounterexampleFound,
     HypothesisNotMet,
+    RequestRefused,
     edge_bound_check,
     find_small_cut,
     require_within_cap,
@@ -103,6 +104,14 @@ def test_blocks_default_caps_equal_reference():
     assert suites.small_cut_suite().to_dict() == reference_suites.small_cut_suite().to_dict()
 
 
+@pytest.mark.parametrize("max_n, max_edges", [(30, 1), (12, 2)])
+def test_obs1_large_n_small_cap_equals_reference(max_n, max_edges):
+    # The walk's per-vertex-set bitsets are built only for the sets it
+    # visits; tables over all 2^n vertex sets would not finish at n = 30.
+    walked = suites.connected_bound_suite(max_n=max_n, max_edges=max_edges)
+    assert walked.to_dict() == reference_suites.connected_bound_suite(max_n, max_edges).to_dict()
+
+
 def test_default_cap_counts():
     obs1 = suites.connected_bound_suite()
     assert (obs1.checked, obs1.skipped, obs1.counterexamples) == (2_030_210, 0, [])
@@ -127,7 +136,7 @@ def test_default_cap_counts():
     ],
 )
 def test_suites_refuse_vacuous_requests(call):
-    with pytest.raises(ValueError, match="must be at least"):
+    with pytest.raises(RequestRefused, match="must be at least"):
         call()
 
 
