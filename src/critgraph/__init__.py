@@ -8,13 +8,11 @@ from .certify import (
     min_subset_edges,
     verify_construction,
 )
-from .chromatic import exact_chromatic, exact_independence
 from .hypergraph import (
     Graph,
     Hypergraph,
     Matching,
     complement,
-    components,
     two_section,
 )
 from .matching import (
@@ -49,10 +47,7 @@ __all__ = [
     "check_certificate",
     "check_sparsity",
     "complement",
-    "components",
     "derive_params",
-    "exact_chromatic",
-    "exact_independence",
     "excess",
     "find_perfect_matching",
     "matching_to_coloring",

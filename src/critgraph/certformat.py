@@ -1,5 +1,5 @@
-"""Bit-exact serialization: certificate JSON documents, DOT graph export,
-and CSV sweep tables.
+"""Bit-exact serialization: certificate JSON documents and CSV sweep
+tables.
 
 The certificate schema is versioned and uses integers for all
 combinatorial data; the only floats are the sampling probabilities echoed
@@ -255,15 +255,6 @@ def read_certificate(path: str | Path) -> Certificate:
     except RecursionError as err:
         raise CertificateFormatError("invalid JSON: nested too deeply") from err
     return certificate_from_dict(doc)
-
-
-def export_dot(g: Graph, path: str | Path) -> None:
-    """Plain DOT text with nodes and edges in sorted order."""
-    lines = ["graph G {"]
-    lines.extend(f"  {v};" for v in range(g.n))
-    lines.extend(f"  {u} -- {v};" for u, v in g.edges)
-    lines.append("}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_sweep_csv(points: list[SweepPoint], path: str | Path) -> None:

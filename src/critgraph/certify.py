@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chromatic import exact_chromatic, exact_independence
 from .hypergraph import Graph, Hypergraph, complement, two_section
 from .matching import (
     CORRUPT,
@@ -35,7 +34,7 @@ from .matching import (
     matching_to_coloring,
 )
 from .sampling import ConstructionParams
-from .sparsity import SparsityVerdict, check_sparsity, excess, union_size
+from .sparsity import SparsityVerdict, check_sparsity, union_size, violator_problems
 
 TOOL_VERSION = "0.1.0"
 
@@ -287,44 +286,26 @@ def _check_matchability(cert: Certificate, graph: Graph) -> list[str]:
 
 
 def _check_sparsity_record(cert: Certificate) -> list[str]:
-    reasons = []
     verdict = cert.sparsity
     assert verdict is not None
     params = cert.params
     if verdict.m != params.m or verdict.s != params.s:
-        reasons.append("sparsity verdict window does not match params")
-        return reasons
+        return ["sparsity verdict window does not match params"]
     if verdict.holds:
-        recheck = check_sparsity(cert.hypergraph, params.m, params.s)
-        if not recheck.holds:
-            reasons.append("sparsity claimed to hold but a violator exists")
-        return reasons
+        if not check_sparsity(cert.hypergraph, params.m, params.s).holds:
+            return ["sparsity claimed to hold but a violator exists"]
+        return []
     violator = verdict.violator
     if violator is None:
-        reasons.append("sparsity failure recorded without a violator")
-        return reasons
+        return ["sparsity failure recorded without a violator"]
     idx = list(violator.edge_indices)
-    if not idx or len(idx) > params.m:
-        reasons.append("violator size out of range")
-        return reasons
-    if any(not 0 <= i < len(cert.hypergraph.edges) for i in idx):
-        reasons.append("violator indexes nonexistent edges")
-        return reasons
-    if len(set(idx)) != len(idx):
-        reasons.append("violator repeats an edge index")
+    reasons = violator_problems(cert.hypergraph, idx, params.s, params.m)
+    if reasons:
         return reasons
     spanned = union_size(cert.hypergraph, idx)
     if violator.spanned != spanned:
-        reasons.append(f"violator spans {spanned} vertices, certificate says {violator.spanned}")
-    if excess(cert.hypergraph, idx, params.s) > -1:
-        reasons.append("claimed violator does not violate the span bound")
-        return reasons
-    for i in idx:
-        rest = [j for j in idx if j != i]
-        if rest and excess(cert.hypergraph, rest, params.s) <= -1:
-            reasons.append("violator is not inclusion-minimal")
-            break
-    return reasons
+        return [f"violator spans {spanned} vertices, certificate says {violator.spanned}"]
+    return []
 
 
 def _check_subset_record(cert: Certificate, graph: Graph) -> list[str]:
@@ -356,19 +337,3 @@ def _check_conclusions(cert: Certificate) -> list[str]:
     if cert.conclusions != expected:
         reasons.append("conclusion mismatch: conclusions do not follow from the recorded checks")
     return reasons
-
-
-def cross_check_with_oracles(
-    cert: Certificate,
-    chi_cap: int = 45,
-    independence_cap: int = 60,
-) -> dict[str, bool]:
-    """Independent exact-solver confirmation of a fully certified
-    instance; only meaningful when the conclusions were certified."""
-    results = {}
-    g = cert.graph
-    if cert.conclusions.chi is not None and g.n <= chi_cap:
-        results["chi"] = exact_chromatic(g, cap=chi_cap) == cert.conclusions.chi
-    if cert.conclusions.robust_to_r and g.n <= independence_cap:
-        results["independence"] = exact_independence(g, cap=independence_cap) <= cert.params.s
-    return results

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage or parse error, 2 honest search failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import secrets
 import sys
@@ -81,6 +82,21 @@ def _attempt_certificate(
     )
 
 
+def _attempt_results(jobs: list[tuple], workers: int):
+    """The attempt summaries of `jobs`, in index order: computed here for
+    one worker, else by a process pool one chunk at a time, so a success
+    stops the search within a chunk whatever the scheduling."""
+    if workers <= 1:
+        yield from map(_attempt_summary, jobs)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunk = workers * 4
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for lo in range(0, len(jobs), chunk):
+            yield from pool.map(_attempt_summary, jobs[lo : lo + chunk])
+
+
 def run_construct_search(
     r: int,
     k: int,
@@ -95,15 +111,12 @@ def run_construct_search(
     the first fully robust attempt wins, otherwise the attempt passing the
     most stages (ties to the lowest index) is re-verified thoroughly and
     returned as the best effort. Returns (certificate, success, index)."""
-    attempts = restarts + 1
-    jobs = [(r, k, C, base_seed, idx, budget) for idx in range(attempts)]
+    jobs = [(r, k, C, base_seed, idx, budget) for idx in range(restarts + 1)]
     best_idx = 0
     best_score = -1
     success_idx: int | None = None
-
-    if workers <= 1:
-        for job in jobs:
-            idx, score, robust = _attempt_summary(job)
+    with contextlib.closing(_attempt_results(jobs, workers)) as results:
+        for idx, score, robust in results:
             if progress is not None:
                 progress(idx, score)
             if robust:
@@ -111,25 +124,6 @@ def run_construct_search(
                 break
             if score > best_score:
                 best_idx, best_score = idx, score
-    else:
-        # Chunked in-order map keeps the lowest-index success the winner
-        # regardless of scheduling.
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(1, workers * 4)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for lo in range(0, attempts, chunk):
-                results = list(pool.map(_attempt_summary, jobs[lo : lo + chunk]))
-                for idx, score, robust in results:
-                    if progress is not None:
-                        progress(idx, score)
-                    if robust and success_idx is None:
-                        success_idx = idx
-                        break
-                    if score > best_score:
-                        best_idx, best_score = idx, score
-                if success_idx is not None:
-                    break
 
     if success_idx is not None:
         cert = _attempt_certificate(r, k, C, base_seed, success_idx, budget, stop_early=True)

@@ -1,5 +1,6 @@
 """Canonical hypergraph and graph values plus the structural transforms
-(2-section, complement, connectivity) everything else is built on.
+(2-section, complement, components on vertex masks) everything else is
+built on.
 
 All values are immutable after construction and every operation is a pure
 function, so they can be shared freely across parallel workers.
@@ -149,9 +150,6 @@ class Graph:
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
 
 @dataclass(frozen=True)
 class Matching:
@@ -191,34 +189,36 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, pairs)
 
 
-def components(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Connected components as sorted vertex tuples, ordered by smallest
-    member."""
-    return components_within(g, range(g.n))
+def merge_component(comps: list[int], mask: int) -> list[int]:
+    """The intersection components of an edge set, as disjoint vertex
+    masks, after adding an edge with vertex mask `mask`: every component
+    the edge meets merges with it into one, appended last."""
+    rest = []
+    for c in comps:
+        if c & mask:
+            mask |= c
+        else:
+            rest.append(c)
+    rest.append(mask)
+    return rest
 
 
-def components_within(g: Graph, active) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the subgraph induced by `active`, without
-    building the induced graph; same ordering contract as components()."""
-    active_set = set(active)
-    seen: set[int] = set()
-    out = []
-    for start in sorted(active_set):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in g.adjacency[u]:
-                if v in active_set and v not in comp:
-                    comp.add(v)
-                    stack.append(v)
-        seen |= comp
-        out.append(tuple(sorted(comp)))
-    return tuple(out)
-
-
-def is_connected(g: Graph) -> bool:
-    """Vacuously true on 0 or 1 vertices."""
-    return len(components(g)) <= 1
+def mask_components(edge_masks, active: int) -> list[int]:
+    """Connected components of the 2-section induced on the vertex mask
+    `active`, as vertex masks ordered by smallest member: two active
+    vertices are joined when some edge holds both, and an active vertex in
+    no such edge is a component of its own."""
+    comps: list[int] = []
+    covered = 0
+    for mask in edge_masks:
+        mask &= active
+        if mask:
+            comps = merge_component(comps, mask)
+            covered |= mask
+    alone = active & ~covered
+    while alone:
+        bit = alone & -alone
+        comps.append(bit)
+        alone ^= bit
+    comps.sort(key=lambda c: c & -c)
+    return comps

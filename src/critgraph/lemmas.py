@@ -22,19 +22,14 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .certify import min_subset_edges
-from .hypergraph import (
-    Graph,
-    Hypergraph,
-    complement,
-    components,
-    components_within,
-    two_section,
-)
+from .hypergraph import Graph, Hypergraph, complement, mask_components, two_section
 from .sparsity import check_sparsity
 
 
 class CapExceeded(Exception):
-    """Requested enumeration is larger than the configured cap."""
+    """A request is larger than a configured cap: an enumeration past its
+    size cap, or a randomized suite that runs out of attempts before enough
+    instances meet its hypothesis."""
 
 
 class RequestRefused(ValueError):
@@ -123,24 +118,23 @@ def find_small_cut(h: Hypergraph) -> CutWitness:
         raise HypothesisNotMet("an edge subset spans fewer vertices than required")
 
     g = two_section(h)
-    big = [e for e in h.edges if len(e) >= 3]
+    full = (1 << h.n) - 1
+    masks = h.edge_masks
+    big = [i for i, e in enumerate(h.edges) if len(e) >= 3]
     if big:
-        e0 = big[0]
-        outside = sorted(set(range(h.n)) - set(e0))
-        v = outside[0]
-        reduced = Hypergraph(h.n, [e for e in h.edges if e != e0])
-        comp = next(
-            c for c in components(two_section(reduced)) if v in c
-        )
-        w = tuple(sorted(set(e0) & set(comp)))
+        i0 = big[0]
+        e0 = masks[i0]
+        outside = full & ~e0
+        v = outside & -outside
+        comps = mask_components(masks[:i0] + masks[i0 + 1 :], full)
+        comp = next(c for c in comps if c & v)
+        w = _members(e0 & comp)
         if len(w) > 2:
             raise CounterexampleFound(
                 f"component meets the removed edge in {len(w)} > 2 vertices: "
                 f"n={h.n} edges={h.edges}"
             )
-        side_a = tuple(sorted(set(comp) - set(e0)))
-        side_b = tuple(sorted(set(range(h.n)) - set(comp)))
-        witness = CutWitness(w=w, side_a=side_a, side_b=side_b)
+        witness = CutWitness(w=w, side_a=_members(comp & ~e0), side_b=_members(full & ~comp))
         _validate_cut(g, witness, h)
         return witness
 
@@ -151,21 +145,22 @@ def find_small_cut(h: Hypergraph) -> CutWitness:
     candidates += [(v,) for v in range(h.n)]
     candidates += list(combinations(range(h.n), 2))
     for w in candidates:
-        active = set(range(h.n)) - set(w)
-        if len(active) < 2:
-            continue
-        comps = components_within(g, active)
+        active = full & ~sum(1 << v for v in w)
+        comps = mask_components(masks, active)
         if len(comps) >= 2:
             witness = CutWitness(
-                w=w,
-                side_a=comps[0],
-                side_b=tuple(sorted(v for c in comps[1:] for v in c)),
+                w=w, side_a=_members(comps[0]), side_b=_members(active & ~comps[0])
             )
             _validate_cut(g, witness, h)
             return witness
     raise CounterexampleFound(
         f"no cut of size <= 2 exists despite the span condition: n={h.n} edges={h.edges}"
     )
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The vertices of a vertex mask, ascending."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def edge_bound_check(h: Hypergraph, s: int) -> tuple[bool, tuple[tuple[int, ...], int]]:

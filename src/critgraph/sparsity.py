@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, merge_component
 
 
 class EnumerationCapExceeded(Exception):
@@ -50,6 +50,33 @@ def excess(h: Hypergraph, edge_indices, s: int) -> int:
     excess >= 0."""
     idx = list(edge_indices)
     return union_size(h, idx) - (s - 1) * len(idx)
+
+
+def violator_problems(h: Hypergraph, idx: list[int], s: int, m: int) -> list[str]:
+    """Why the edge indices `idx` are not an inclusion-minimal violator
+    within the window m, or [] when they are one; checking stops at the
+    first problem found.
+
+    Minimality drops one edge at a time, which leaves one kind of
+    non-minimal violator undetected: one whose edges split into parts with
+    disjoint unions. Excess adds up over such parts, so one part violates
+    alone; the intersection components rule that out. Passing both, every
+    edge meets the others in at least 2 vertices (see _incidence_core).
+    """
+    if not 1 <= len(idx) <= m:
+        return ["violator size out of range"]
+    if any(not 0 <= i < len(h.edges) for i in idx):
+        return ["violator indexes nonexistent edges"]
+    if len(set(idx)) != len(idx):
+        return ["violator repeats an edge index"]
+    if excess(h, idx, s) > -1:
+        return ["claimed violator does not violate the span bound"]
+    comps: list[int] = []
+    for i in idx:
+        comps = merge_component(comps, h.edge_masks[i])
+    if len(comps) > 1 or any(excess(h, [j for j in idx if j != i], s) <= -1 for i in idx):
+        return ["violator is not inclusion-minimal"]
+    return []
 
 
 def forced_violator_size(n: int, s: int) -> int:

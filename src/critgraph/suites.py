@@ -15,8 +15,9 @@ from functools import cache
 from itertools import combinations
 from typing import TYPE_CHECKING
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, merge_component
 from .lemmas import (
+    CapExceeded,
     CounterexampleFound,
     HypothesisNotMet,
     RequestRefused,
@@ -27,7 +28,7 @@ from .lemmas import (
 )
 from .matching import find_perfect_matching
 from .sampling import derive_seed
-from .sparsity import brute_force_sparsity, check_sparsity, excess
+from .sparsity import brute_force_sparsity, check_sparsity, violator_problems
 
 if TYPE_CHECKING:
     import numpy as np
@@ -52,20 +53,6 @@ class SuiteReport:
             "passed": self.passed,
             "counterexamples": self.counterexamples,
         }
-
-
-def _merge_component(comps: list[int], mask: int) -> list[int]:
-    """The intersection components of an edge set, as disjoint vertex
-    masks, after adding an edge with vertex mask `mask`: every component
-    the edge meets merges with it into one, appended last."""
-    rest = []
-    for c in comps:
-        if c & mask:
-            mask |= c
-        else:
-            rest.append(c)
-    rest.append(mask)
-    return rest
 
 
 def _at_least(name: str, value: int, low: int) -> None:
@@ -182,7 +169,7 @@ def _connected_bound_walk(n: int, max_edges: int, sizes: set[int], report: Suite
         for j in range(chosen[-1] + 1 if chosen else 0, len(cands)):
             chosen.append(j)
             above = every ^ ((2 << j) - 1)
-            visit(above, union | masks[j], _merge_component(comps, masks[j]), slack + len(cands[j]) - 1)
+            visit(above, union | masks[j], merge_component(comps, masks[j]), slack + len(cands[j]) - 1)
             chosen.pop()
 
     visit(every, 0, [], 1)
@@ -282,7 +269,8 @@ def two_section_bound_suite(
 ) -> SuiteReport:
     """Random s-uniform instances that pass the sparsity window check must
     have every (s+1)-subset of the 2-section inducing at most
-    C(s,2) + 2 edges."""
+    C(s,2) + 2 edges. Raises CapExceeded when fewer than `count` instances
+    pass the hypothesis within max_attempts draws."""
     _at_least("count", count, 1)
     _at_least("max_n", max_n, s + 4)
     report = SuiteReport("edgebound")
@@ -309,8 +297,9 @@ def two_section_bound_suite(
                 }
             )
     if report.checked < count:
-        raise RuntimeError(
-            f"only {report.checked} instances passed the hypothesis in {attempt} attempts"
+        raise CapExceeded(
+            f"only {report.checked} of {count} instances passed the hypothesis "
+            f"within the cap of {max_attempts} attempts"
         )
     return report
 
@@ -319,9 +308,8 @@ def sparsity_oracle_suite(
     count: int = 200, seed: int = 1, max_n: int = 14, s: int = 3, m: int = 16, max_edge_count: int = 12
 ) -> SuiteReport:
     """check_sparsity must agree with brute-force enumeration, and every
-    reported violator must re-validate: within the window, actually
-    violating, inclusion-minimal, intersection-connected, and with every
-    edge meeting the union of the others in >= 2 vertices."""
+    reported violator must pass sparsity.violator_problems, the check
+    check_certificate applies to a stored violator."""
     _at_least("count", count, 1)
     _at_least("max_n", max_n, s + 2)
     report = SuiteReport("sparsity-oracle")
@@ -337,39 +325,12 @@ def sparsity_oracle_suite(
         if fast.holds != slow.holds:
             problems.append(f"verdicts differ: search={fast.holds} oracle={slow.holds}")
         if fast.violator is not None:
-            problems.extend(_violator_problems(h, list(fast.violator.edge_indices), s, m))
+            problems.extend(violator_problems(h, list(fast.violator.edge_indices), s, m))
         if problems:
             report.counterexamples.append(
                 {"n": h.n, "edges": [list(e) for e in h.edges], "problems": problems}
             )
     return report
-
-
-def _violator_problems(h: Hypergraph, idx: list[int], s: int, m: int) -> list[str]:
-    problems = []
-    if not 1 <= len(idx) <= m:
-        problems.append(f"violator size {len(idx)} outside [1, {m}]")
-    if len(set(idx)) != len(idx):
-        problems.append("violator repeats an edge index")
-    if excess(h, idx, s) > -1:
-        problems.append("reported violator does not violate")
-    for i in idx:
-        rest = [j for j in idx if j != i]
-        if rest and excess(h, rest, s) <= -1:
-            problems.append(f"dropping edge {i} still violates: not inclusion-minimal")
-        if rest:
-            union_rest = 0
-            for j in rest:
-                union_rest |= h.edge_masks[j]
-            if (h.edge_masks[i] & union_rest).bit_count() < 2:
-                problems.append(f"edge {i} meets the rest in < 2 vertices")
-    # Intersection-connectivity of the violator.
-    comps: list[int] = []
-    for i in idx:
-        comps = _merge_component(comps, h.edge_masks[i])
-    if len(comps) > 1:
-        problems.append("violator is not intersection-connected")
-    return problems
 
 
 def matching_oracle_suite(

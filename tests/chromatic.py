@@ -1,15 +1,16 @@
-"""Exact chromatic number and independence number for small graphs.
+"""Exact chromatic number and independence number for small graphs, and
+the cross-check of a certificate's conclusions against them.
 
-Both solvers are cross-check oracles for the certified bounds the
-construction produces, so they are deliberately independent of the
-construction path: chromatic number by iterative deepening on k with a
+Both solvers are test oracles for the certified bounds the construction
+produces, so they are deliberately independent of the construction path: chromatic number by iterative deepening on k with a
 saturation-guided k-colorability backtracker, independence number by
 branch-and-bound with a greedy clique-cover upper bound.
 """
 
 from __future__ import annotations
 
-from .hypergraph import Graph
+from critgraph.certify import Certificate
+from critgraph.hypergraph import Graph
 
 
 class SizeCapExceeded(Exception):
@@ -161,3 +162,19 @@ def exact_independence(g: Graph, cap: int = 60) -> int:
 
     recurse((1 << g.n) - 1, 0)
     return best
+
+
+def cross_check_with_oracles(
+    cert: Certificate,
+    chi_cap: int = 45,
+    independence_cap: int = 60,
+) -> dict[str, bool]:
+    """Independent exact-solver confirmation of a fully certified
+    instance; only meaningful when the conclusions were certified."""
+    results = {}
+    g = cert.graph
+    if cert.conclusions.chi is not None and g.n <= chi_cap:
+        results["chi"] = exact_chromatic(g, cap=chi_cap) == cert.conclusions.chi
+    if cert.conclusions.robust_to_r and g.n <= independence_cap:
+        results["independence"] = exact_independence(g, cap=independence_cap) <= cert.params.s
+    return results

@@ -1,17 +1,34 @@
 """Structural transforms only the tests use: vertex and edge deletion,
-restriction to a vertex set, and edge lookup. The transforms return fresh
-canonical values; where vertices go, ids are recompacted and the old->new
-map is returned so witnesses can be translated back."""
+restriction to a vertex set, edge lookup, degrees and components. The
+transforms return fresh canonical values; where vertices go, ids are
+recompacted and the old->new map is returned so witnesses can be
+translated back."""
 
 from __future__ import annotations
 
-from critgraph.hypergraph import Graph, Hypergraph
+from critgraph.hypergraph import Graph, Hypergraph, mask_components
 
 
 def has_edge(g: Graph, u: int, v: int) -> bool:
     if u > v:
         u, v = v, u
     return (u, v) in g.edge_set
+
+
+def degree(g: Graph, v: int) -> int:
+    return len(g.adjacency[v])
+
+
+def components(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Connected components as sorted vertex tuples, ordered by smallest
+    member."""
+    comps = mask_components([1 << u | 1 << v for u, v in g.edges], (1 << g.n) - 1)
+    return tuple(tuple(v for v in range(g.n) if c >> v & 1) for c in comps)
+
+
+def is_connected(g: Graph) -> bool:
+    """Vacuously true on 0 or 1 vertices."""
+    return len(components(g)) <= 1
 
 
 def compaction_map(keep: set[int] | frozenset[int]) -> dict[int, int]:

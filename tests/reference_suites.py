@@ -1,24 +1,28 @@
 """The exhaustive lemma-check suites as they were before the depth-first
 walks, kept verbatim as the oracle for `critgraph.suites`: the walks must
 return equal `SuiteReport` dicts. Also the per-instance helpers that only
-tests call: the labelled-hypergraph enumerator, the connected-bound check
-and the (s+1)-subset scan that `edge_bound_check` used before it shared
-`certify.min_subset_edges`."""
+tests call: the labelled-hypergraph enumerator, the connected-bound check,
+the (s+1)-subset scan that `edge_bound_check` used before it shared
+`certify.min_subset_edges`, and `find_small_cut` with the graph-search
+components it used before it worked on vertex masks."""
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from critgraph.hypergraph import Hypergraph, is_connected, two_section
+from critgraph.hypergraph import Graph, Hypergraph, two_section
 from critgraph.lemmas import (
     ENUMERATION_CAP,
     CounterexampleFound,
+    CutWitness,
     HypothesisNotMet,
+    _validate_cut,
     candidate_edges,
-    find_small_cut,
+    density_hypothesis_check,
     require_within_cap,
 )
 from critgraph.suites import SuiteReport
+from graph_ops import is_connected
 
 
 def connected_bound_check(h: Hypergraph) -> bool:
@@ -27,6 +31,99 @@ def connected_bound_check(h: Hypergraph) -> bool:
     if not is_connected(two_section(h)):
         raise ValueError("hypergraph is not connected")
     return h.n <= 1 + sum(len(e) - 1 for e in h.edges)
+
+
+def components(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Connected components as sorted vertex tuples, ordered by smallest
+    member."""
+    return components_within(g, range(g.n))
+
+
+def components_within(g: Graph, active) -> tuple[tuple[int, ...], ...]:
+    """Connected components of the subgraph induced by `active`, without
+    building the induced graph; same ordering contract as components()."""
+    active_set = set(active)
+    seen: set[int] = set()
+    out = []
+    for start in sorted(active_set):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in g.adjacency[u]:
+                if v in active_set and v not in comp:
+                    comp.add(v)
+                    stack.append(v)
+        seen |= comp
+        out.append(tuple(sorted(comp)))
+    return tuple(out)
+
+
+def find_small_cut(h: Hypergraph) -> CutWitness:
+    """A set W of at most two vertices whose deletion disconnects the
+    2-section, for any hypergraph with n >= 4, V not an edge, satisfying
+    the per-subset span condition of density_hypothesis_check.
+
+    When some edge e0 has size >= 3: delete e0, take the component C of the
+    smallest vertex outside e0, and cut at W = e0 & C; the span condition
+    forces |W| <= 2 and both remaining sides nonempty. Otherwise the
+    2-section is a graph of maximum degree <= 2 after dropping size-1
+    edges, where the lexicographically smallest disconnecting W of size
+    <= 2 is found directly.
+    """
+    if h.n < 4:
+        raise ValueError(f"need at least 4 vertices, got {h.n}")
+    if tuple(range(h.n)) in h.edges:
+        raise ValueError("the full vertex set is a hyperedge")
+    if not density_hypothesis_check(h):
+        raise HypothesisNotMet("an edge subset spans fewer vertices than required")
+
+    g = two_section(h)
+    big = [e for e in h.edges if len(e) >= 3]
+    if big:
+        e0 = big[0]
+        outside = sorted(set(range(h.n)) - set(e0))
+        v = outside[0]
+        reduced = Hypergraph(h.n, [e for e in h.edges if e != e0])
+        comp = next(
+            c for c in components(two_section(reduced)) if v in c
+        )
+        w = tuple(sorted(set(e0) & set(comp)))
+        if len(w) > 2:
+            raise CounterexampleFound(
+                f"component meets the removed edge in {len(w)} > 2 vertices: "
+                f"n={h.n} edges={h.edges}"
+            )
+        side_a = tuple(sorted(set(comp) - set(e0)))
+        side_b = tuple(sorted(set(range(h.n)) - set(comp)))
+        witness = CutWitness(w=w, side_a=side_a, side_b=side_b)
+        _validate_cut(g, witness, h)
+        return witness
+
+    # All edges have size <= 2; size-1 edges do not affect the 2-section,
+    # so the graph has max degree <= 2 here and a tiny brute-force scan in
+    # lexicographic order finds the smallest valid cut set.
+    candidates: list[tuple[int, ...]] = [()]
+    candidates += [(v,) for v in range(h.n)]
+    candidates += list(combinations(range(h.n), 2))
+    for w in candidates:
+        active = set(range(h.n)) - set(w)
+        if len(active) < 2:
+            continue
+        comps = components_within(g, active)
+        if len(comps) >= 2:
+            witness = CutWitness(
+                w=w,
+                side_a=comps[0],
+                side_b=tuple(sorted(v for c in comps[1:] for v in c)),
+            )
+            _validate_cut(g, witness, h)
+            return witness
+    raise CounterexampleFound(
+        f"no cut of size <= 2 exists despite the span condition: n={h.n} edges={h.edges}"
+    )
 
 
 def enumerate_hypergraphs(

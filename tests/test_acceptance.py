@@ -23,7 +23,6 @@ import time
 from pathlib import Path
 
 from critgraph.certformat import read_certificate
-from critgraph.chromatic import exact_chromatic, exact_independence
 from critgraph.cli import main
 from critgraph.matching import all_deletions_matchable, matching_to_coloring
 from critgraph.sampling import derive_params, derive_seed, pm_threshold_sweep, sample_hypergraph
@@ -36,6 +35,7 @@ from critgraph.suites import (
     two_section_bound_suite,
 )
 
+from chromatic import exact_chromatic, exact_independence
 from conftest import is_proper_coloring
 
 DATA = Path(__file__).parent / "data"

@@ -9,16 +9,15 @@ from critgraph.certify import (
     Conclusions,
     SubsetEdgeCount,
     check_certificate,
-    cross_check_with_oracles,
     min_subset_edges,
     verify_construction,
 )
-from critgraph.chromatic import exact_chromatic, exact_independence
 from critgraph.hypergraph import Graph, Hypergraph, complement, two_section
 from critgraph.matching import MATCHED, VertexOutcome
 from critgraph.sampling import derive_params, derive_seed, sample_hypergraph
-from critgraph.sparsity import check_sparsity
+from critgraph.sparsity import Violator, check_sparsity
 
+from chromatic import cross_check_with_oracles, exact_chromatic, exact_independence
 from conftest import is_proper_coloring
 from graph_ops import delete_edges
 
@@ -185,6 +184,21 @@ def test_check_certificate_catches_false_sparsity_claim():
     ok, reasons = check_certificate(tampered)
     assert not ok
     assert any("violator exists" in r for r in reasons)
+
+
+def test_check_certificate_catches_split_violator():
+    # Edges 0-1 violate (5 vertices, s = 4) and edges 2-3 meet only each
+    # other (excess 0). All four violate, and no single edge can be
+    # dropped to show they are not inclusion-minimal.
+    params = derive_params(1, 4)
+    h = Hypergraph(params.n, [(0, 1, 2, 3), (0, 1, 2, 4), (5, 6, 7, 8), (5, 6, 9, 10)])
+    cert = verify_construction(h, params)
+    assert cert.sparsity.violator == Violator((0, 1), 5)
+    split = replace(cert.sparsity, violator=Violator((0, 1, 2, 3), 11))
+    assert check_certificate(replace(cert, sparsity=split)) == (
+        False,
+        ["violator is not inclusion-minimal"],
+    )
 
 
 def test_edge_floor_on_sparse_instances():

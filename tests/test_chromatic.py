@@ -6,14 +6,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from critgraph.chromatic import (
-    SizeCapExceeded,
-    exact_chromatic,
-    exact_independence,
-    find_coloring,
-)
 from critgraph.hypergraph import Graph
 
+from chromatic import SizeCapExceeded, exact_chromatic, exact_independence, find_coloring
 from conftest import brute_force_chromatic, brute_force_independence, graphs
 
 

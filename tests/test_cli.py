@@ -1,7 +1,7 @@
 from __future__ import annotations
 
+import functools
 import json
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,14 +15,12 @@ from critgraph.certformat import (
     certificate_from_dict,
     certificate_to_dict,
     certificate_to_json,
-    export_dot,
     read_certificate,
     write_sweep_csv,
 )
-from critgraph import suites
+from critgraph import cli, suites
 from critgraph.certify import check_certificate, verify_construction
 from critgraph.cli import main, run_construct_search
-from critgraph.hypergraph import Graph
 from critgraph.sampling import SweepPoint, derive_params, sample_hypergraph
 
 
@@ -212,11 +210,23 @@ def test_cli_construct_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _search_with_progress(k: int, C: float | None, seed: int, workers: int):
+    seen = []
+    cert, ok, idx = run_construct_search(
+        1, k, C, seed, restarts=9, budget=10.0, workers=workers,
+        progress=lambda attempt, score: seen.append((attempt, score)),
+    )
+    return certificate_to_json(cert), ok, idx, seen
+
+
 def test_parallel_matches_serial():
-    cert1, ok1, idx1 = run_construct_search(1, 2, None, 13, restarts=5, budget=10.0, workers=1)
-    cert2, ok2, idx2 = run_construct_search(1, 2, None, 13, restarts=5, budget=10.0, workers=2)
-    assert (ok1, idx1) == (ok2, idx2)
-    assert certificate_to_json(cert1) == certificate_to_json(cert2)
+    # With C = 1 the samples are sparse enough that scores differ, and the
+    # best attempt is not the first.
+    for k, C, seed in [(2, None, 13), (3, 1.0, 2)]:
+        serial = _search_with_progress(k, C, seed, workers=1)
+        assert _search_with_progress(k, C, seed, workers=2) == serial
+        _, ok, idx, seen = serial
+        assert [attempt for attempt, _ in seen] == list(range(idx + 1 if ok else 10))
 
 
 def test_cli_verify_rejects_tampered_file(tmp_path):
@@ -242,6 +252,17 @@ def test_cli_lemma_check_cap_exceeded(monkeypatch):
     monkeypatch.setattr(suites, "find_small_cut", checked.append)
     assert main(["lemma-check", "--suite", "blocks", "--max-n", "8", "--max-edges", "8"]) == 3
     assert checked == []
+
+
+def test_cli_lemma_check_edgebound_shortfall(monkeypatch, capsys):
+    # Fewer instances pass the sparsity window than --count asks for
+    # within the attempt cap: a cap error, not a traceback.
+    monkeypatch.setattr(
+        cli, "two_section_bound_suite", functools.partial(suites.two_section_bound_suite, max_attempts=40)
+    )
+    assert main(["lemma-check", "--suite", "edgebound", "--max-n", "7", "--count", "200"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("cap exceeded: only ") and "of 200 instances" in err and "40 attempts" in err
 
 
 def test_cli_lemma_check_obs1_cap_exceeded():
@@ -301,26 +322,6 @@ def test_cli_sweep_csv_deterministic(tmp_path):
 
 def test_cli_sweep_divisibility_error():
     assert main(["sweep", "--s", "3", "--n", "7", "--p", "0.1", "--samples", "5", "--seed", "1"]) == 1
-
-
-def test_dot_export_byte_stable(tmp_path):
-    g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    path = tmp_path / "g.dot"
-    export_dot(g, path)
-    text = path.read_text()
-    assert text == "graph G {\n  0;\n  1;\n  2;\n  0 -- 1;\n  0 -- 2;\n  1 -- 2;\n}\n"
-    export_dot(Graph(2, []), tmp_path / "empty.dot")
-    assert (tmp_path / "empty.dot").read_text() == "graph G {\n  0;\n  1;\n}\n"
-
-
-def test_dot_round_trip_preserves_edges(tmp_path):
-    g = Graph(5, [(0, 1), (2, 4), (1, 3)])
-    path = tmp_path / "g.dot"
-    export_dot(g, path)
-    text = path.read_text()
-    edge_lines = re.findall(r"^\s*(\d+)\s*--\s*(\d+);$", text, flags=re.M)
-    assert len(edge_lines) == len(g.edges)
-    assert {(int(a), int(b)) for a, b in edge_lines} == set(g.edges)
 
 
 def test_sweep_csv_writer(tmp_path):

@@ -6,17 +6,19 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from critgraph.hypergraph import (
-    Graph,
-    Hypergraph,
-    complement,
-    components,
-    is_connected,
-    two_section,
-)
+from critgraph.hypergraph import Graph, Hypergraph, complement, mask_components, two_section
 
 from conftest import graphs, hypergraphs
-from graph_ops import delete_edges, delete_vertex, delete_vertices, has_edge, restrict
+from graph_ops import (
+    components,
+    degree,
+    delete_edges,
+    delete_vertex,
+    delete_vertices,
+    has_edge,
+    is_connected,
+    restrict,
+)
 
 
 def test_hypergraph_canonicalizes():
@@ -46,7 +48,7 @@ def test_two_section_single_edge_clique():
     h = Hypergraph(4, [(0, 1, 2)])
     g = two_section(h)
     assert g.edges == ((0, 1), (0, 2), (1, 2))
-    assert g.degree(3) == 0
+    assert degree(g, 3) == 0
 
 
 def test_two_section_empty_and_pairs():
@@ -166,14 +168,20 @@ def test_components_partition(g):
     assert list(comps) == sorted(comps, key=lambda c: c[0])
 
 
-@given(graphs(max_n=7))
+@given(hypergraphs(max_n=7), st.data())
 @settings(max_examples=100)
-def test_components_against_networkx(g):
+def test_components_against_networkx(h, data):
+    # The mask components of the edges on an active vertex set are the
+    # components of the 2-section induced on that set.
     import networkx as nx
 
+    g = two_section(h)
     nxg = nx.Graph()
     nxg.add_nodes_from(range(g.n))
     nxg.add_edges_from(g.edges)
-    expected = sorted(tuple(sorted(c)) for c in nx.connected_components(nxg))
-    assert sorted(components(g)) == expected
+    active = data.draw(st.integers(0, (1 << h.n) - 1))
+    keep = [v for v in range(h.n) if active >> v & 1]
+    expected = sorted(nx.connected_components(nxg.subgraph(keep)), key=min)
+    got = mask_components(h.edge_masks, active)
+    assert [{v for v in keep if c >> v & 1} for c in got] == expected
     assert is_connected(g) == (nx.number_connected_components(nxg) <= 1)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from critgraph.hypergraph import Hypergraph, two_section
 from critgraph.lemmas import (
     CapExceeded,
+    CounterexampleFound,
     CutWitness,
     HypothesisNotMet,
     density_hypothesis_check,
@@ -15,7 +16,9 @@ from critgraph.lemmas import (
     find_small_cut,
 )
 
+import reference_suites
 from conftest import hypergraphs
+from graph_ops import components, delete_vertices
 from reference_suites import connected_bound_check, enumerate_hypergraphs
 
 
@@ -53,10 +56,8 @@ def test_find_small_cut_examples():
 def test_find_small_cut_brute_force_confirms_example():
     # Independent confirmation that deleting {2} disconnects the 2-section.
     h = Hypergraph(5, [(0, 1, 2), (2, 3, 4)])
-    g = two_section(h)
-    from critgraph.hypergraph import components_within
-
-    assert len(components_within(g, {0, 1, 3, 4})) == 2
+    cut, _ = delete_vertices(two_section(h), {2})
+    assert len(components(cut)) == 2
 
 
 def test_find_small_cut_preconditions():
@@ -129,3 +130,27 @@ def test_cut_witness_always_valid_when_applicable(h):
     g = two_section(h)
     a, b = set(w.side_a), set(w.side_b)
     assert all(not (u in a and v in b) and not (u in b and v in a) for u, v in g.edges)
+
+
+def _cut_outcome(find, h):
+    """The witness, or the type and message of the error raised."""
+    try:
+        return find(h)
+    except (ValueError, HypothesisNotMet, CounterexampleFound) as err:
+        return type(err), str(err)
+
+
+def test_find_small_cut_equals_reference_on_blocks_domain():
+    # Every hypergraph the default `blocks` request covers.
+    total = 0
+    for n in (4, 5):
+        for h in enumerate_hypergraphs(n, 5, {2, 3}):
+            assert _cut_outcome(find_small_cut, h) == _cut_outcome(reference_suites.find_small_cut, h)
+            total += 1
+    assert total == 22_338
+
+
+@given(hypergraphs(max_n=6, sizes=(1, 2, 3, 4)))
+@settings(max_examples=300, deadline=None)
+def test_find_small_cut_equals_reference(h):
+    assert _cut_outcome(find_small_cut, h) == _cut_outcome(reference_suites.find_small_cut, h)

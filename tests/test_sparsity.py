@@ -15,8 +15,8 @@ from critgraph.sparsity import (
     brute_force_sparsity,
     check_sparsity,
     excess,
+    violator_problems,
 )
-from critgraph.suites import _violator_problems
 
 from conftest import linear_hypertrees, uniform_hypergraphs
 
@@ -71,7 +71,39 @@ def test_violator_problems_flags_repeated_indices():
     # Counting edge 0 twice makes the excess negative, and dropping
     # either copy leaves nothing to test for minimality.
     h = Hypergraph(6, [(0, 1, 2), (3, 4, 5)])
-    assert "violator repeats an edge index" in _violator_problems(h, [0, 0], 3, 16)
+    assert violator_problems(h, [0, 0], 3, 16) == ["violator repeats an edge index"]
+
+
+# Edges 0-2 span 5 vertices (excess -1) and each pair spans at least 4;
+# edges 3-4 span 4 vertices apart from them (excess 0).
+_SPLIT = Hypergraph(9, [(0, 1, 2), (0, 1, 3), (2, 3, 4), (5, 6, 7), (5, 6, 8)])
+
+
+@pytest.mark.parametrize(
+    "idx, m, problem",
+    [
+        ([0, 1, 2], 16, None),
+        ([], 16, "violator size out of range"),
+        ([0, 1, 2], 2, "violator size out of range"),
+        ([0, 1, 5], 16, "violator indexes nonexistent edges"),
+        ([0, -1, 2], 16, "violator indexes nonexistent edges"),
+        ([0, 1, 1], 16, "violator repeats an edge index"),
+        ([0, 1], 16, "claimed violator does not violate the span bound"),
+        ([3, 4], 16, "claimed violator does not violate the span bound"),
+        # Each edge dropped alone leaves a non-violator, but edges 0-2
+        # violate without 3 and 4.
+        ([0, 1, 2, 3, 4], 16, "violator is not inclusion-minimal"),
+    ],
+)
+def test_violator_problems_cases(idx, m, problem):
+    assert violator_problems(_SPLIT, idx, 3, m) == ([problem] if problem else [])
+
+
+def test_violator_problems_flags_droppable_edge():
+    # Edges 0-2 violate on vertices 0-3; edge 3 adds one vertex.
+    h = Hypergraph(5, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 1, 4)])
+    assert excess(h, [0, 1, 2, 3], 3) <= -1
+    assert violator_problems(h, [0, 1, 2, 3], 3, 16) == ["violator is not inclusion-minimal"]
 
 
 def test_dense_fast_path_agrees_with_oracle():
@@ -80,7 +112,7 @@ def test_dense_fast_path_agrees_with_oracle():
     h = Hypergraph(6, list(combinations(range(6), 3)))  # 20 edges, n=6
     verdict = check_sparsity(h, 16, 3)
     assert not verdict.holds
-    assert _violator_problems(h, list(verdict.violator.edge_indices), 3, 16) == []
+    assert violator_problems(h, list(verdict.violator.edge_indices), 3, 16) == []
     slow = brute_force_sparsity(h, 16, 3)
     assert not slow.holds
 
@@ -92,7 +124,7 @@ def test_search_equals_brute_force_s3(h):
     slow = brute_force_sparsity(h, 16, 3)
     assert fast.holds == slow.holds
     if fast.violator is not None:
-        assert _violator_problems(h, list(fast.violator.edge_indices), 3, 16) == []
+        assert violator_problems(h, list(fast.violator.edge_indices), 3, 16) == []
 
 
 @given(uniform_hypergraphs(s=4, max_n=12, max_edges=9))
@@ -102,7 +134,7 @@ def test_search_equals_brute_force_s4(h):
     slow = brute_force_sparsity(h, 12, 4)
     assert fast.holds == slow.holds
     if fast.violator is not None:
-        assert _violator_problems(h, list(fast.violator.edge_indices), 4, 12) == []
+        assert violator_problems(h, list(fast.violator.edge_indices), 4, 12) == []
 
 
 @given(uniform_hypergraphs(s=3, max_n=10, max_edges=8), st.data())

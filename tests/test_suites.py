@@ -140,6 +140,13 @@ def test_suites_refuse_vacuous_requests(call):
         call()
 
 
+def test_edgebound_shortfall_is_cap_exceeded():
+    # About half the draws at max_n = 7 pass the sparsity window.
+    with pytest.raises(CapExceeded, match=r"only \d+ of 50 instances .* cap of 30 attempts"):
+        suites.two_section_bound_suite(count=50, max_n=7, max_attempts=30)
+    assert suites.two_section_bound_suite(count=5, max_n=7, max_attempts=30).checked == 5
+
+
 @pytest.mark.parametrize("s", [3, 4])
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
