@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import chain
 from pathlib import Path
 
 from .certify import Certificate, Conclusions, SubsetEdgeCount
@@ -112,10 +113,13 @@ _BOOL = ("a boolean", lambda v: isinstance(v, bool))
 _STR = ("a string", lambda v: isinstance(v, str))
 _OBJECT = ("an object", lambda v: isinstance(v, dict))
 _LIST = ("a list", lambda v: isinstance(v, list))
-_INTS = ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v)))
+# One set of element types per list, built in C: a graph has thousands of rows.
+_INTS = ("a list of integers", lambda v: isinstance(v, list) and set(map(type, v)) <= {int})
 _INT_ROWS = (
     "a list of integer lists",
-    lambda v: isinstance(v, list) and all(_INTS[1](row) for row in v),
+    lambda v: isinstance(v, list)
+    and set(map(type, v)) <= {list}
+    and set(map(type, chain.from_iterable(v))) <= {int},
 )
 
 
@@ -167,6 +171,8 @@ def certificate_from_dict(doc: dict) -> Certificate:
     hypergraph = _built("hypergraph", lambda: Hypergraph(h_n, h_edges))
     raw_g = _read(doc, "graph", _OBJECT)
     g_n = _read(raw_g, "n", _INT, "graph")
+    if g_n != h_n:  # before the graph allocates g_n neighbour masks
+        raise CertificateFormatError(f"bad graph: {g_n} vertices, hypergraph has {h_n}")
     g_edges = _read(raw_g, "edges", _INT_ROWS, "graph")
     graph = _built("graph", lambda: Graph(g_n, g_edges))
 

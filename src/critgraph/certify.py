@@ -103,7 +103,7 @@ def min_subset_edges(
     if t < 0:
         raise ValueError("subset size must be nonnegative")
     masks = g.adjacency_masks
-    best_count = len(g.edges) + 1
+    best_count = t * t + 1  # more than any t-subset can induce
     best_witness: tuple[int, ...] = ()
 
     def scan(next_vertex: int, chosen: list[int], chosen_mask: int, count: int) -> bool:
@@ -320,8 +320,8 @@ def _check_subset_record(cert: Certificate, graph: Graph) -> list[str]:
     if any(not 0 <= v < graph.n for v in witness):
         reasons.append("subset witness out of range")
         return reasons
-    inside = set(witness)
-    recount = sum(1 for a, b in graph.edges if a in inside and b in inside)
+    inside = sum(1 << v for v in witness)
+    recount = sum((graph.adjacency_masks[v] & inside).bit_count() for v in witness) // 2
     if recount != record.count:
         reasons.append(
             f"subset witness induces {recount} edges, certificate says {record.count}"

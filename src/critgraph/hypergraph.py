@@ -1,6 +1,7 @@
 """Canonical hypergraph and graph values plus the structural transforms
 (2-section, complement, components on vertex masks) everything else is
-built on.
+built on. A graph is canonical as its neighbour bitmasks, which the
+2-section and the complement build directly; its edge list is derived.
 
 All values are immutable after construction and every operation is a pure
 function, so they can be shared freely across parallel workers.
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 
 @dataclass(frozen=True)
@@ -108,17 +108,17 @@ class Hypergraph:
 class Graph:
     """A simple undirected graph on dense vertex ids 0..n-1.
 
-    Stored as a canonical sorted tuple of (u, v) pairs with u < v;
-    adjacency sets and bitmasks are derived lazily.
+    Stored as neighbour bitmasks (bit u of adjacency_masks[v] iff uv is an
+    edge); the sorted tuple of (u, v) pairs with u < v is derived lazily.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    adjacency_masks: tuple[int, ...]
 
     def __init__(self, n: int, edges) -> None:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        canon = set()
+        masks = [0] * n
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at {u}")
@@ -126,29 +126,33 @@ class Graph:
                 u, v = v, u
             if u < 0 or v >= n:
                 raise ValueError(f"edge ({u}, {v}) out of range [0, {n})")
-            canon.add((u, v))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
-
-    @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        nbr: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            nbr[u].add(v)
-            nbr[v].add(u)
-        return tuple(frozenset(s) for s in nbr)
-
-    @cached_property
-    def adjacency_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.n
-        for u, v in self.edges:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        return tuple(masks)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adjacency_masks", tuple(masks))
+
+    @classmethod
+    def _from_masks(cls, n: int, masks: tuple[int, ...]) -> Graph:
+        """The graph with these fields, unchecked: for n symmetric, loop-free
+        masks within range(n), as two_section and complement build them."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adjacency_masks", masks)
+        return g
+
+    def __getstate__(self) -> dict:
+        # Only the fields, as for Hypergraph.
+        return {"n": self.n, "adjacency_masks": self.adjacency_masks}
 
     @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge as (u, v) with u < v, in increasing order."""
+        return tuple(
+            (u, v)
+            for u, mask in enumerate(self.adjacency_masks)
+            for v in range(u + 1, mask.bit_length())
+            if mask >> v & 1
+        )
 
 
 @dataclass(frozen=True)
@@ -176,17 +180,19 @@ class Matching:
 
 def two_section(h: Hypergraph) -> Graph:
     """Graph on the same vertices joining every two vertices that share a
-    hyperedge. Size-1 hyperedges contribute nothing."""
-    pairs: set[tuple[int, int]] = set()
-    for e in h.edges:
-        pairs.update(combinations(e, 2))
-    return Graph(h.n, pairs)
+    hyperedge: each vertex's mask is the OR of its edges' masks, less
+    itself. Size-1 hyperedges contribute nothing."""
+    masks = [0] * h.n
+    for e, mask in zip(h.edges, h.edge_masks):
+        for v in e:
+            masks[v] |= mask
+    return Graph._from_masks(h.n, tuple(mask & ~(1 << v) for v, mask in enumerate(masks)))
 
 
 def complement(g: Graph) -> Graph:
-    present = g.edge_set
-    pairs = [(u, v) for u, v in combinations(range(g.n), 2) if (u, v) not in present]
-    return Graph(g.n, pairs)
+    full = (1 << g.n) - 1
+    masks = tuple(full & ~(mask | 1 << v) for v, mask in enumerate(g.adjacency_masks))
+    return Graph._from_masks(g.n, masks)
 
 
 def merge_component(comps: list[int], mask: int) -> list[int]:

@@ -7,13 +7,15 @@ The search is exponential in the window, but it only ever looks at the
 2-core of the vertex-edge incidence graph, where every inclusion-minimal
 violator lies; hypertrees and other tree-like parts peel away in linear
 time, with the same verdicts and the same witnesses as a search over all
-edges.
+edges. A core whose components each have cycle rank at most 1 (a Berge
+cycle, a hypertree with one chord) holds without any search.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 
 from .hypergraph import Hypergraph, merge_component
@@ -168,6 +170,11 @@ def _min_cardinality_violator(masks, limit: int, s: int) -> list[int] | None:
     """
     core = _incidence_core(masks)
     masks = [masks[i] for i in core]
+    # A connected F violates iff its incidence cycle rank (s-1)|F| - span + 1
+    # is >= 2, which nothing inside a core component of rank <= 1 reaches.
+    comps = reduce(merge_component, masks, [])
+    if all((s - 1) * sum(1 for e in masks if e & c) - c.bit_count() <= 0 for c in comps):
+        return None
     limit = min(limit, len(masks))
     n_edges = len(masks)
 

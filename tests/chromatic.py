@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from critgraph.certify import Certificate
 from critgraph.hypergraph import Graph
+from graph_ops import adjacency
 
 
 class SizeCapExceeded(Exception):
@@ -22,7 +23,8 @@ def _greedy_clique(g: Graph) -> list[int]:
     if g.n == 0:
         return []
     masks = g.adjacency_masks
-    order = sorted(range(g.n), key=lambda v: (-len(g.adjacency[v]), v))
+    adj = adjacency(g)
+    order = sorted(range(g.n), key=lambda v: (-len(adj[v]), v))
     clique = [order[0]]
     common = masks[order[0]]
     for v in order[1:]:
@@ -34,11 +36,12 @@ def _greedy_clique(g: Graph) -> list[int]:
 
 def _greedy_coloring_count(g: Graph) -> int:
     """Colors used by largest-first greedy coloring (upper bound)."""
-    order = sorted(range(g.n), key=lambda v: (-len(g.adjacency[v]), v))
+    adj = adjacency(g)
+    order = sorted(range(g.n), key=lambda v: (-len(adj[v]), v))
     colors: dict[int, int] = {}
     used = 0
     for v in order:
-        taken = {colors[u] for u in g.adjacency[v] if u in colors}
+        taken = {colors[u] for u in adj[v] if u in colors}
         c = 0
         while c in taken:
             c += 1
@@ -61,7 +64,7 @@ def find_coloring(g: Graph, k: int) -> list[int] | None:
         return []
     if k == 0:
         return None
-    adj = g.adjacency
+    adj = adjacency(g)
     colors = [-1] * n
     neighbor_colors: list[set[int]] = [set() for _ in range(n)]
 

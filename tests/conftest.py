@@ -12,6 +12,7 @@ from functools import lru_cache
 from itertools import combinations
 
 import hypothesis.strategies as st
+from hypothesis import assume
 
 from critgraph.hypergraph import Graph, Hypergraph
 
@@ -59,6 +60,38 @@ def linear_hypertrees(draw, s: int = 3, max_edges: int = 8):
         anchor = draw(st.integers(0, covered - 1))
         edges.append((anchor, *range(covered, covered + s - 1)))
     return Hypergraph(n, [tuple(labels[v] for v in e) for e in edges])
+
+
+def berge_cycle(s: int, length: int, labels=None) -> Hypergraph:
+    """The s-uniform Berge cycle whose edge i holds cycle vertices i and
+    i+1 (mod length) plus s-2 private vertices: every edge meets the others
+    in exactly 2 vertices, the incidence graph is one cycle (cycle rank 1),
+    and sparsity holds at every window. `labels` relabels the vertices."""
+    n = length * (s - 1)
+    labels = labels or range(n)
+    private = iter(range(length, n))
+    edges = [(i, (i + 1) % length, *(next(private) for _ in range(s - 2))) for i in range(length)]
+    return Hypergraph(n, [tuple(labels[v] for v in e) for e in edges])
+
+
+@st.composite
+def berge_cycles(draw, s: int = 3, max_length: int = 8):
+    """Berge cycles (see berge_cycle) with shuffled labels."""
+    length = draw(st.integers(3 if s == 2 else 2, max_length))
+    return berge_cycle(s, length, draw(st.permutations(range(length * (s - 1)))))
+
+
+@st.composite
+def hypertrees_with_chord(draw, s: int = 3, max_edges: int = 8):
+    """A linear hypertree plus one edge through t >= 2 of its vertices and
+    s - t new ones: t = 2 closes one cycle (cycle rank 1, sparsity holds),
+    t >= 3 makes cycle rank t - 1 >= 2, so the whole edge set violates."""
+    tree = draw(linear_hypertrees(s=s, max_edges=max_edges))
+    t = draw(st.integers(2, min(s, tree.n)))
+    old = draw(st.lists(st.integers(0, tree.n - 1), min_size=t, max_size=t, unique=True))
+    chord = tuple(sorted([*old, *range(tree.n, tree.n + s - t)]))
+    assume(chord not in tree.edges)
+    return Hypergraph(tree.n + s - t, [*tree.edges, chord])
 
 
 def brute_force_independence(g: Graph) -> int:

@@ -1,22 +1,35 @@
 """Structural transforms only the tests use: vertex and edge deletion,
-restriction to a vertex set, edge lookup, degrees and components. The
-transforms return fresh canonical values; where vertices go, ids are
-recompacted and the old->new map is returned so witnesses can be
-translated back."""
+restriction to a vertex set, adjacency sets, edge lookup, degrees and
+components. The transforms return fresh canonical values; where vertices
+go, ids are recompacted and the old->new map is returned so witnesses can
+be translated back."""
 
 from __future__ import annotations
 
 from critgraph.hypergraph import Graph, Hypergraph, mask_components
 
 
+def adjacency(g: Graph) -> tuple[frozenset[int], ...]:
+    """Each vertex's neighbours, read off the edge list."""
+    nbr: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        nbr[u].add(v)
+        nbr[v].add(u)
+    return tuple(frozenset(s) for s in nbr)
+
+
+def edge_set(g: Graph) -> frozenset[tuple[int, int]]:
+    return frozenset(g.edges)
+
+
 def has_edge(g: Graph, u: int, v: int) -> bool:
     if u > v:
         u, v = v, u
-    return (u, v) in g.edge_set
+    return (u, v) in edge_set(g)
 
 
 def degree(g: Graph, v: int) -> int:
-    return len(g.adjacency[v])
+    return len(adjacency(g)[v])
 
 
 def components(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -65,11 +78,12 @@ def restrict(h: Hypergraph, x: set[int] | frozenset[int]) -> tuple[Hypergraph, d
 
 def delete_edges(g: Graph, removed) -> Graph:
     """Delete the given edge set; all vertices stay."""
+    present = edge_set(g)
     gone = set()
     for u, v in removed:
         if u > v:
             u, v = v, u
-        if (u, v) not in g.edge_set:
+        if (u, v) not in present:
             raise ValueError(f"({u}, {v}) is not an edge")
         gone.add((u, v))
     return Graph(g.n, [e for e in g.edges if e not in gone])

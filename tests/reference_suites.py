@@ -22,7 +22,7 @@ from critgraph.lemmas import (
     require_within_cap,
 )
 from critgraph.suites import SuiteReport
-from graph_ops import is_connected
+from graph_ops import adjacency, is_connected
 
 
 def connected_bound_check(h: Hypergraph) -> bool:
@@ -43,6 +43,7 @@ def components_within(g: Graph, active) -> tuple[tuple[int, ...], ...]:
     """Connected components of the subgraph induced by `active`, without
     building the induced graph; same ordering contract as components()."""
     active_set = set(active)
+    adj = adjacency(g)
     seen: set[int] = set()
     out = []
     for start in sorted(active_set):
@@ -52,7 +53,7 @@ def components_within(g: Graph, active) -> tuple[tuple[int, ...], ...]:
         stack = [start]
         while stack:
             u = stack.pop()
-            for v in g.adjacency[u]:
+            for v in adj[u]:
                 if v in active_set and v not in comp:
                     comp.add(v)
                     stack.append(v)

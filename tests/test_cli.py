@@ -97,6 +97,59 @@ def test_malformed_fields_are_format_errors(mutate):
         certificate_from_dict(doc)
 
 
+_ROW_FIELDS = {
+    "hypergraph.edges": ["hypergraph", "edges"],
+    "graph.edges": ["graph", "edges"],
+    "matchability.per_vertex[].matching": ["matchability", "per_vertex", 0, "matching"],
+}
+
+
+@pytest.mark.parametrize("field", sorted(_ROW_FIELDS))
+@pytest.mark.parametrize("value", [[[0, True]], [[0, 1.0]], [[0, [1]]], [0, 1], {}])
+def test_hostile_rows_are_format_errors(field, value):
+    doc = _frozen_doc()
+    _set(doc, _ROW_FIELDS[field], value)
+    got = "dict" if isinstance(value, dict) else "list"
+    message = f"field {field!r} must be a list of integer lists, got {got}"
+    with pytest.raises(CertificateFormatError) as err:
+        certificate_from_dict(doc)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([0, 1, 2], "bad graph: too many values to unpack (expected 2)"),
+        ([3, 3], "bad graph: self-loop at 3"),
+        ([0, 99], "bad graph: edge (0, 99) out of range [0, 21)"),
+    ],
+)
+def test_bad_graph_rows_exit_1_without_traceback(tmp_path, capsys, row, message):
+    doc = _frozen_doc()
+    doc["graph"]["edges"].append(row)
+    with pytest.raises(CertificateFormatError) as err:
+        certificate_from_dict(doc)
+    assert str(err.value) == message
+    path = tmp_path / "bad-row.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    err_text = capsys.readouterr().err
+    assert err_text == f"parse error: {message}\n"
+
+
+def test_graph_vertex_count_is_checked_before_allocation(tmp_path, capsys):
+    # A graph stores one mask per vertex, so a huge count is refused
+    # before anything is built.
+    doc = _frozen_doc()
+    doc["graph"]["n"] = 10**12
+    path = tmp_path / "huge-n.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "parse error: bad graph: 1000000000000 vertices, hypergraph has 21\n"
+    )
+
+
 def _paths(node, prefix=()):
     yield prefix
     if isinstance(node, dict):

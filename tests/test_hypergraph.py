@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import json
+import pickle
+import random
+from dataclasses import replace
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from critgraph.certformat import certificate_from_dict, write_certificate
 from critgraph.hypergraph import Graph, Hypergraph, complement, mask_components, two_section
 
+import reference_graph
 from conftest import graphs, hypergraphs
 from graph_ops import (
     components,
@@ -42,6 +49,17 @@ def test_graph_rejects_self_loops_and_range():
         Graph(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph(3, [(0, 5)])
+
+
+@pytest.mark.parametrize(
+    "rows", [[(1, 1)], [(0, 5)], [(-1, 2)], [(0, 1, 2)], [(0,)], [(2, 0), (3, 1)]]
+)
+def test_graph_rejects_rows_like_the_oracle(rows):
+    with pytest.raises(ValueError) as want:
+        reference_graph.Graph(3, rows)
+    with pytest.raises(ValueError) as got:
+        Graph(3, rows)
+    assert str(got.value) == str(want.value)
 
 
 def test_two_section_single_edge_clique():
@@ -121,8 +139,6 @@ def test_delete_edges_and_vertices():
 @given(hypergraphs())
 @settings(max_examples=150)
 def test_restrict_commutes_with_two_section(h):
-    import random
-
     rng = random.Random(h.n * 31 + len(h.edges))
     x = {v for v in range(h.n) if rng.random() < 0.6}
     sub, remap = restrict(h, x)
@@ -185,3 +201,55 @@ def test_components_against_networkx(h, data):
     got = mask_components(h.edge_masks, active)
     assert [{v for v in keep if c >> v & 1} for c in got] == expected
     assert is_connected(g) == (nx.number_connected_components(nxg) <= 1)
+
+
+@st.composite
+def wide_hypergraphs(draw, max_n: int = 70, max_size: int = 5, max_edges: int = 40):
+    """Hypergraphs with edges of sizes 1 to max_size, on up to max_n
+    vertices, drawn as vertex sets rather than from a list of every
+    possible edge."""
+    n = draw(st.integers(1, max_n))
+    vertex_sets = st.frozensets(st.integers(0, n - 1), min_size=1, max_size=max_size)
+    edges = draw(st.lists(vertex_sets, unique=True, max_size=max_edges))
+    return Hypergraph(n, [tuple(e) for e in edges])
+
+
+FROZEN_CERT = certificate_from_dict(
+    json.loads((Path(__file__).parent / "data" / "best_attempt_r1_k6.json").read_text())
+)
+
+
+@given(wide_hypergraphs(), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_mask_graphs_equal_pair_set_oracle(tmp_path_factory, h, seed):
+    rng = random.Random(seed)
+    old_section = reference_graph.two_section(h)
+    old_target = reference_graph.complement(old_section)
+    pairs = [(two_section(h), old_section), (complement(two_section(h)), old_target)]
+    for new, old in pairs:
+        before = pickle.dumps(new)
+        # The same edges, in any order, either way round and repeated.
+        rows = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in old.edges]
+        rows += rng.sample(rows, len(rows) // 3)
+        rng.shuffle(rows)
+        built = Graph(h.n, rows)
+        assert new.adjacency_masks == built.adjacency_masks == old.adjacency_masks
+        assert new == built and hash(new) == hash(built)
+        assert pickle.dumps(built) == before
+        assert new.edges == built.edges == old.edges
+        assert pickle.dumps(new) == pickle.dumps(built) == before
+        assert pickle.loads(before) == new and pickle.loads(before).edges == old.edges
+
+    # Dropping an edge keeps the 2-section for the new graphs exactly when
+    # it keeps it for the oracle's.
+    fewer = Hypergraph(h.n, h.edges[1:])
+    old_fewer = reference_graph.two_section(fewer)
+    assert (two_section(fewer) == two_section(h)) == (old_fewer == old_section)
+    if old_fewer == old_section:
+        assert hash(two_section(fewer)) == hash(two_section(h))
+
+    out = tmp_path_factory.mktemp("certs")
+    new_cert = replace(FROZEN_CERT, hypergraph=h, graph=complement(two_section(h)))
+    write_certificate(new_cert, out / "new.json")
+    write_certificate(replace(FROZEN_CERT, hypergraph=h, graph=old_target), out / "old.json")
+    assert (out / "new.json").read_bytes() == (out / "old.json").read_bytes()

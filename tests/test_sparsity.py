@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from itertools import combinations
 
 import pytest
@@ -18,7 +19,13 @@ from critgraph.sparsity import (
     violator_problems,
 )
 
-from conftest import linear_hypertrees, uniform_hypergraphs
+from conftest import (
+    berge_cycle,
+    berge_cycles,
+    hypertrees_with_chord,
+    linear_hypertrees,
+    uniform_hypergraphs,
+)
 
 
 def test_excess_examples():
@@ -198,15 +205,38 @@ def test_peel_empties_hypertrees(data):
 @pytest.mark.parametrize("s", [2, 3, 4, 5])
 @pytest.mark.parametrize("length", [3, 4, 7])
 def test_peel_keeps_berge_cycle(s, length):
-    # Edge i holds cycle vertices i and i+1 (mod length) plus s-2 private
-    # vertices: every edge meets the others in exactly 2 vertices.
-    private = iter(range(length, length + length * (s - 2)))
-    edges = [(i, (i + 1) % length, *(next(private) for _ in range(s - 2))) for i in range(length)]
-    h = Hypergraph(length * (s - 1), edges)
+    h = berge_cycle(s, length)
     assert _incidence_core(h.edge_masks) == list(range(length))
     # One cycle has excess 0: sparsity holds, and the search agrees.
     assert check_sparsity(h, 16, s) == reference_sparsity.check_sparsity(h, 16, s)
     assert check_sparsity(h, 16, s).holds
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_cycle_rank_families_equal_reference_and_brute_force(data):
+    # Cores of cycle rank 1 (Berge cycles, hypertrees with a 2-vertex
+    # chord) pass without a search; chords through 3 or more tree vertices
+    # do not, and the search must still find the same violator.
+    s = data.draw(st.integers(2, 5), label="s")
+    m = data.draw(st.integers(1, 16), label="m")
+    family = data.draw(st.sampled_from([berge_cycles, hypertrees_with_chord]), label="family")
+    h = data.draw(family(s=s), label="h")
+    verdict = check_sparsity(h, m, s)
+    assert verdict == reference_sparsity.check_sparsity(h, m, s)
+    assert verdict.holds == brute_force_sparsity(h, m, s).holds
+    if family is berge_cycles:
+        assert verdict.holds
+
+
+def test_long_berge_cycle_passes_without_search():
+    # The peel keeps all 50 edges; searching their connected edge sets up
+    # to the window takes about 0.1 s, the cycle-rank shortcut under 1 ms.
+    h = berge_cycle(4, 50)
+    assert _incidence_core(h.edge_masks) == list(range(50))
+    start = time.perf_counter()
+    assert check_sparsity(h, 32, 4).holds
+    assert time.perf_counter() - start < 0.05
 
 
 def test_pendant_tree_is_peeled_off_a_violator():
