@@ -22,7 +22,12 @@ from .sparsity import SparsityVerdict, Violator
 
 SCHEMA_VERSION = 1
 
-_STATUSES = {"matched", "unmatchable", "timeout", "skipped", "corrupt"}
+# The outcome of each status without a witness, as most entries are. One
+# instance per status is shared: outcomes are frozen.
+_NO_WITNESS = {
+    status: VertexOutcome(status=status, matching=None)
+    for status in ("matched", "unmatchable", "timeout", "skipped", "corrupt")
+}
 
 
 class CertificateFormatError(Exception):
@@ -121,19 +126,20 @@ _INT_ROWS = (
     and set(map(type, v)) <= {list}
     and set(map(type, chain.from_iterable(v))) <= {int},
 )
+_MISSING = object()  # what _read sees for an absent key
 
 
 def _read(doc: dict, key: str, kind, where: str = "", nullable: bool = False):
     """doc[key], which must be present and of the given kind (or null when
     nullable); anything else is a CertificateFormatError naming the field."""
-    name = f"{where}.{key}" if where else key
-    if key not in doc:
-        raise CertificateFormatError(f"missing field {name!r}")
-    value = doc[key]
+    value = doc.get(key, _MISSING)
     if value is None and nullable:
         return None
     description, ok = kind
-    if not ok(value):
+    if value is _MISSING or not ok(value):  # the name is formatted only for an error
+        name = f"{where}.{key}" if where else key
+        if value is _MISSING:
+            raise CertificateFormatError(f"missing field {name!r}")
         got = "null" if value is None else type(value).__name__
         raise CertificateFormatError(f"field {name!r} must be {description}, got {got}")
     return value
@@ -174,6 +180,12 @@ def certificate_from_dict(doc: dict) -> Certificate:
     if g_n != h_n:  # before the graph allocates g_n neighbour masks
         raise CertificateFormatError(f"bad graph: {g_n} vertices, hypergraph has {h_n}")
     g_edges = _read(raw_g, "edges", _INT_ROWS, "graph")
+    # A lower bound on the complement's edges: refuses a huge n with few rows.
+    least = g_n * (g_n - 1) // 2 - sum(len(e) * (len(e) - 1) for e in hypergraph.edges) // 2
+    if len(g_edges) < least:
+        raise CertificateFormatError(
+            f"bad graph: {len(g_edges)} edges, the complement of the 2-section has at least {least}"
+        )
     graph = _built("graph", lambda: Graph(g_n, g_edges))
 
     matchability = None
@@ -186,18 +198,18 @@ def certificate_from_dict(doc: dict) -> Certificate:
             where = "matchability.per_vertex[]"
             v = _read(entry, "vertex", _INT, where)
             status = _read(entry, "status", _STR, where)
-            if status not in _STATUSES:
+            if status not in _NO_WITNESS:
                 raise CertificateFormatError(f"unknown matching status {status!r}")
             raw_witness = _read(entry, "matching", _INT_ROWS, where, nullable=True)
-            witness = None
+            outcome = _NO_WITNESS[status]
             if raw_witness is not None:
                 try:
-                    witness = Matching(raw_witness)
+                    outcome = VertexOutcome(status=status, matching=Matching(raw_witness))
                 except ValueError:
                     # Keep parsing: the semantic checker reports the broken
                     # witness instead of refusing the whole document.
-                    status = CORRUPT
-            per_vertex[v] = VertexOutcome(status=status, matching=witness)
+                    outcome = _NO_WITNESS[CORRUPT]
+            per_vertex[v] = outcome
         matchability = MatchabilityReport(
             per_vertex=per_vertex,
             all_matchable=_read(raw_m, "all_matchable", _BOOL, "matchability"),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import secrets
 import sys
@@ -144,6 +145,9 @@ def _cmd_construct(args) -> int:
     except (ValueError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    if not args.out.parent.is_dir():  # refuse before the search, not after it
+        print(f"error: cannot write {args.out}: {args.out.parent} is not a directory", file=sys.stderr)
+        return EXIT_USAGE
     base_seed = args.seed if args.seed is not None else secrets.randbits(64)
     print(
         f"construct: r={params.r} k={params.k} -> s={params.s} m={params.m} "
@@ -174,7 +178,11 @@ def _cmd_construct(args) -> int:
         "attempts": args.restarts + 1,
         "outcome": "success" if success else "exhausted",
     }
-    write_certificate(cert, args.out, search=search_info)
+    try:
+        write_certificate(cert, args.out, search=search_info)
+    except OSError as err:
+        print(f"error: cannot write {args.out}: {err.strerror or err}", file=sys.stderr)
+        return EXIT_USAGE
     if success:
         print(f"success at attempt {idx}: certificate written to {args.out}")
         return EXIT_OK
@@ -291,7 +299,11 @@ def _cmd_sweep(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     if args.out:
-        write_sweep_csv(points, args.out)
+        try:
+            write_sweep_csv(points, args.out)
+        except OSError as err:
+            print(f"error: cannot write {args.out}: {err.strerror or err}", file=sys.stderr)
+            return EXIT_USAGE
         print(f"sweep written to {args.out} (seed={seed})")
     else:
         print("n,p,samples,successes,fraction")
@@ -300,7 +312,10 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: it binds only the _cmd_* functions,
+    which look up every other name at call time."""
     parser = _Parser(prog="critgraph")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -341,8 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

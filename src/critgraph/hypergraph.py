@@ -119,15 +119,16 @@ class Graph:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         masks = [0] * n
+        bit = [1 << v for v in range(n)]
         for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at {u}")
-            if u > v:
+            if u >= v:  # rows are mostly increasing pairs: one test for them
+                if u == v:
+                    raise ValueError(f"self-loop at {u}")
                 u, v = v, u
             if u < 0 or v >= n:
                 raise ValueError(f"edge ({u}, {v}) out of range [0, {n})")
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+            masks[u] |= bit[v]
+            masks[v] |= bit[u]
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adjacency_masks", tuple(masks))
 

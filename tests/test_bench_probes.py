@@ -10,16 +10,23 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+from critgraph import cli
 from critgraph.cli import run_construct_search
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
+REPORT = ROOT / "tests" / "data" / "best_attempt_r1_k6.json"
 
 
-def _probes() -> tuple:
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return spans.PROBES
+    return spans
+
+
+def _probes() -> tuple:
+    return _spans().PROBES
 
 
 def test_every_probed_name_resolves():
@@ -35,3 +42,26 @@ def test_every_probed_name_resolves():
 
 def test_restart_loop_takes_progress():
     assert "progress" in inspect.signature(run_construct_search).parameters
+
+
+def test_cached_parser_calls_rebound_names(tmp_path, monkeypatch):
+    # The parser is built once per process, so the commands it dispatches
+    # to must resolve the probed names at call time, not at build time.
+    assert cli.main(["verify", str(REPORT)]) == 0
+    spans = _spans()
+    with spans.installed(spans.Tracer()) as tracer:
+        assert cli.main(["verify", str(REPORT)]) == 0
+    assert tracer.total_s["certformat.decode"] > 0
+    assert tracer.total_s["certify.check"] > 0
+    assert tracer.counts["certformat.bytes"] == REPORT.stat().st_size
+
+    calls = []
+
+    def search(*args, **kwargs):  # as the benchmark's attempt clock rebinds it
+        calls.append(args)
+        return run_construct_search(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_construct_search", search)
+    argv = ["construct", "--r", "1", "--k", "2", "--seed", "1", "--restarts", "0", "--quiet"]
+    assert cli.main([*argv, "--out", str(tmp_path / "c.json")]) == 2
+    assert len(calls) == 1

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -21,7 +24,12 @@ from critgraph.certformat import (
 from critgraph import cli, suites
 from critgraph.certify import check_certificate, verify_construction
 from critgraph.cli import main, run_construct_search
+from critgraph.hypergraph import complement, two_section
 from critgraph.sampling import SweepPoint, derive_params, sample_hypergraph
+
+from conftest import hypergraphs
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def make_cert(seed=7, stop_early=False):
@@ -148,6 +156,57 @@ def test_graph_vertex_count_is_checked_before_allocation(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "parse error: bad graph: 1000000000000 vertices, hypergraph has 21\n"
     )
+
+
+def test_huge_vertex_count_with_few_rows_is_refused_at_once(tmp_path, capsys):
+    # Equal huge counts pass the vertex-count check; the row count is then
+    # far below the complement's edge floor, so no mask is ever allocated.
+    doc = _frozen_doc()
+    doc["hypergraph"]["n"] = doc["graph"]["n"] = 10**8
+    path = tmp_path / "huge-n.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        assert main(["verify", str(path)]) == 1
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 20 * 2**20  # one mask per vertex would be 800 MB
+    rows = len(doc["graph"]["edges"])
+    least = 10**8 * (10**8 - 1) // 2 - sum(len(e) * (len(e) - 1) // 2 for e in doc["hypergraph"]["edges"])
+    assert capsys.readouterr().err == (
+        f"parse error: bad graph: {rows} edges, the complement of the 2-section has at least {least}\n"
+    )
+
+
+def _honest_docs():
+    yield _frozen_doc()
+    for seed in (1, 7, 11):
+        yield certificate_to_dict(make_cert(seed))
+        yield certificate_to_dict(make_cert(seed, stop_early=True))
+
+
+def test_edge_floor_holds_on_honest_certificates():
+    for doc in _honest_docs():
+        edges = doc["hypergraph"]["edges"]
+        n = doc["graph"]["n"]
+        assert len(doc["graph"]["edges"]) >= n * (n - 1) // 2 - sum(len(e) * (len(e) - 1) // 2 for e in edges)
+        certificate_from_dict(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hypergraphs(max_n=12, sizes=(1, 2, 3, 4, 5), max_edges=10))
+def test_edge_floor_never_refuses_the_true_graph(h):
+    # The floor counts every pair of every edge once, so overlapping edges
+    # only make it looser: the honest graph always decodes.
+    doc = _frozen_doc()
+    doc["hypergraph"] = {"n": h.n, "edges": [list(e) for e in h.edges]}
+    doc["graph"] = {"n": h.n, "edges": [list(e) for e in complement(two_section(h)).edges]}
+    back = certificate_from_dict(doc)
+    assert back.graph == complement(two_section(h))
 
 
 def _paths(node, prefix=()):
@@ -391,6 +450,77 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "4,1.0,2,2,1.0" in proc.stdout
+
+
+def _in_process(argv, capsys) -> tuple[int, str, str]:
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # a usage error
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _fresh_process(argv) -> tuple[int, str, str]:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "critgraph.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+_CONSTRUCT = ["construct", "--r", "1", "--k", "2", "--seed", "7", "--restarts", "500"]
+
+
+@pytest.mark.parametrize(
+    "sequence, expect",
+    [
+        ([["lemma-check", "--suite", "edgebound", "--count", "5", "--seed", "1"],
+          ["lemma-check", "--suite", "edgebound", "--seed", "1"]],
+         [(0, "checked=5 "), (0, "checked=200 ")]),
+        ([["verify"], ["verify", str(FROZEN_REPORT)]],
+         [(1, "the following arguments are required: path"), (0, "certificate OK")]),
+        ([[*_CONSTRUCT, "--quiet", "--out", "{tmp}/c.json"], [*_CONSTRUCT, "--out", "{tmp}/c.json"]],
+         [(2, "search exhausted 501 attempts"), (2, "attempt 500: best stage count")]),
+    ],
+    ids=["count-default", "usage-error-then-verify", "quiet-then-progress"],
+)
+def test_reused_parser_matches_fresh_processes(sequence, expect, tmp_path, capsys):
+    # The parser is built once per process; no option or default of one
+    # call may leak into the next.
+    main(["verify", str(FROZEN_REPORT)])
+    capsys.readouterr()
+    assert cli.build_parser() is cli.build_parser()
+    for argv, (code, text) in zip(sequence, expect):
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        got = _in_process(argv, capsys)
+        assert got == _fresh_process(argv)
+        assert got[0] == code and text in got[1] + got[2]
+    # And the first command again: --quiet still silences the progress line.
+    assert "attempt 500" not in _in_process(sequence[0], capsys)[1]
+
+
+def test_construct_refuses_missing_out_directory_before_searching(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "missing" / "cert.json"
+    monkeypatch.setattr(cli, "run_construct_search", None)  # a search would raise TypeError
+    assert main([*_CONSTRUCT, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: {out.parent} is not a directory\n"
+
+
+def test_unwritable_out_is_an_error_not_a_traceback(tmp_path, capsys):
+    # The parent exists but the target is a directory: the write itself fails.
+    target = tmp_path / "taken"
+    target.mkdir()
+    assert main(["construct", "--r", "1", "--k", "2", "--seed", "7", "--restarts", "0", "--out", str(target)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {target}: Is a directory\n"
+    out = tmp_path / "missing" / "sweep.csv"
+    assert main(["sweep", "--s", "3", "--n", "6", "--p", "0.5", "--samples", "2", "--seed", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+    code, stdout, stderr = _fresh_process(["sweep", "--s", "3", "--n", "6", "--p", "0.5", "--samples", "2", "--out", str(out)])
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith("error: cannot write ") and "Traceback" not in stderr
 
 
 @pytest.mark.parametrize("C", ["-1", "0", "nan", "inf", "-inf"])

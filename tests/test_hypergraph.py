@@ -62,6 +62,44 @@ def test_graph_rejects_rows_like_the_oracle(rows):
     assert str(got.value) == str(want.value)
 
 
+@st.composite
+def graph_rows(draw, max_n: int = 70):
+    """(n, rows): distinct-endpoint pairs in either order, with invalid
+    rows inserted anywhere: negative or too-large endpoints in either
+    position, self-loops in and out of range, and rows that are not pairs."""
+    n = draw(st.integers(0, max_n))
+    vertex = st.integers(0, max(n - 1, 0))
+    pair = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+    rows = draw(st.lists(pair, max_size=60)) if n >= 2 else []
+    anywhere = st.integers(-3, n + 3)
+    invalid = st.one_of(
+        st.tuples(st.integers(-3, -1), anywhere),
+        st.tuples(anywhere, st.integers(n, n + 3)),
+        anywhere.map(lambda a: (a, a)),
+        st.lists(anywhere, max_size=4).filter(lambda r: len(r) != 2).map(tuple),
+    )
+    for row in draw(st.lists(invalid, max_size=3)):
+        if draw(st.booleans()):
+            row = row[::-1]
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return n, [list(row) for row in rows]
+
+
+def _outcome(make, n, rows):
+    try:
+        g = make(n, rows)
+    except ValueError as err:
+        return str(err)
+    return g.adjacency_masks, g.edges
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_rows())
+def test_graph_decodes_rows_like_the_oracle(case):
+    n, rows = case
+    assert _outcome(Graph, n, rows) == _outcome(reference_graph.Graph, n, rows)
+
+
 def test_two_section_single_edge_clique():
     h = Hypergraph(4, [(0, 1, 2)])
     g = two_section(h)
