@@ -174,6 +174,14 @@ def certificate_from_dict(doc: dict) -> Certificate:
     raw_h = _read(doc, "hypergraph", _OBJECT)
     h_n = _read(raw_h, "n", _INT, "hypergraph")
     h_edges = _read(raw_h, "edges", _INT_ROWS, "hypergraph")
+    # An edge longer than s fails the certificate anyway. Refused here,
+    # before any graph: one edge on all n vertices lowers the edge floor
+    # below to 0, and the graphs it would size take n^2 bits.
+    longest = max(map(len, h_edges), default=0)
+    if longest > params.s:
+        raise CertificateFormatError(
+            f"bad hypergraph: an edge has {longest} vertices, params say s = {params.s}"
+        )
     hypergraph = _built("hypergraph", lambda: Hypergraph(h_n, h_edges))
     raw_g = _read(doc, "graph", _OBJECT)
     g_n = _read(raw_g, "n", _INT, "graph")

@@ -206,7 +206,9 @@ def check_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     edge by edge, violators are re-validated including inclusion-minimality,
     the subset witness is recounted, and a positive sparsity verdict (a
     universal claim no witness can carry) is re-checked in full. Returns
-    (ok, reasons); honest failed-search certificates check out as ok.
+    (ok, reasons); honest failed-search certificates check out as ok. A
+    hypergraph with the wrong vertex count or uniformity is reported before
+    any graph is rebuilt, without the checks that follow.
     """
     reasons: list[str] = []
     params = cert.params
@@ -217,10 +219,15 @@ def check_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     except (ValueError, TypeError) as err:
         reasons.append(f"params inconsistent: {err}")
 
+    shape = []
     if h.n != params.n:
-        reasons.append(f"hypergraph has {h.n} vertices, params say {params.n}")
+        shape.append(f"hypergraph has {h.n} vertices, params say {params.n}")
     if not h.is_uniform(params.s):
-        reasons.append(f"hypergraph is not {params.s}-uniform")
+        shape.append(f"hypergraph is not {params.s}-uniform")
+    if shape:
+        # The checks below are about a hypergraph of the stated shape, and
+        # the graph of another one may need memory quadratic in its h.n.
+        return (False, reasons + shape)
 
     expected_graph = complement(two_section(h))
     if cert.graph != expected_graph:

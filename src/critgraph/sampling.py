@@ -437,8 +437,15 @@ def pm_threshold_sweep(
     perfect matching, for every (n, p) in n_list x p_grid.
 
     Samples are coupled across the grid (see coupled_hypergraph_family), so
-    for a fixed n the success counts are non-decreasing in p exactly, and
-    once a sample succeeds at some level no further search is run for it.
+    for a fixed n the success counts are non-decreasing in p exactly. Each
+    sample is decided by one search at the top level p_max, built with
+    sample_hypergraph from the same stream, whose edges are exactly the
+    family's top level. The levels are nested, so a sample with no perfect
+    matching at p_max has none at any level and is done. Only a sample that
+    matches at p_max is built as the whole family, and a bisection over its
+    levels finds the first one that matches, in at most ceil(log2 L) more
+    searches; a probe whose level holds every edge of a matching already
+    found needs no search.
     """
     from .matching import find_perfect_matching
 
@@ -452,17 +459,32 @@ def pm_threshold_sweep(
         if n % s != 0:
             raise ValueError(f"n={n} not divisible by s={s}")
     levels = sorted(p_grid)
+    if any(not 0.0 <= p <= 1.0 for p in levels):
+        raise ValueError("probability out of range")
+    if not levels:
+        return []
     out = []
     for n_idx, n in enumerate(n_list):
         successes = [0] * len(levels)
         for sample_idx in range(samples):
             cell_seed = derive_seed(seed, n_idx, sample_idx)
+            top = sample_hypergraph(n, s, levels[-1], cell_seed)
+            witness = find_perfect_matching(top, budget=matching_budget)
+            if witness is None:
+                continue
             family = coupled_hypergraph_family(n, s, levels, cell_seed)
-            for level, h in enumerate(family):
-                if find_perfect_matching(h, budget=matching_budget) is not None:
-                    for j in range(level, len(levels)):
-                        successes[j] += 1
-                    break
+            lo, hi = 0, len(levels) - 1  # the first matching level is in [lo, hi]
+            while lo < hi:
+                mid = (lo + hi) // 2
+                found = witness
+                if not set(family[mid].edges).issuperset(witness.edges):
+                    found = find_perfect_matching(family[mid], budget=matching_budget)
+                if found is None:
+                    lo = mid + 1
+                else:
+                    hi, witness = mid, found
+            for j in range(hi, len(levels)):
+                successes[j] += 1
         for p, won in zip(levels, successes):
             out.append(SweepPoint(n=n, p=p, samples=samples, successes=won))
     return out

@@ -27,7 +27,7 @@ from .lemmas import (
     require_within_cap,
 )
 from .matching import find_perfect_matching
-from .sampling import derive_seed
+from .sampling import _unrank_sorted, derive_seed
 from .sparsity import brute_force_sparsity, check_sparsity, violator_problems
 
 if TYPE_CHECKING:
@@ -256,12 +256,12 @@ def _suite_rng(seed: int, *path: int) -> np.random.Generator:
 def _random_uniform_hypergraph(
     rng: np.random.Generator, n: int, s: int, edge_count: int
 ) -> Hypergraph:
-    """edge_count distinct s-edges drawn without replacement."""
+    """edge_count distinct s-edges drawn without replacement: the sorted
+    ranks of one choice over the C(n, s) candidates, unranked in
+    lexicographic order."""
     total = math.comb(n, s)
-    edge_count = min(edge_count, total)
-    all_edges = list(combinations(range(n), s))
-    picked = rng.choice(total, size=edge_count, replace=False)
-    return Hypergraph(n, [all_edges[i] for i in sorted(picked)])
+    picked = rng.choice(total, size=min(edge_count, total), replace=False)
+    return Hypergraph._from_canonical(n, tuple(_unrank_sorted(sorted(picked.tolist()), n, s)))
 
 
 def two_section_bound_suite(

@@ -3,11 +3,13 @@ walks, kept verbatim as the oracle for `critgraph.suites`: the walks must
 return equal `SuiteReport` dicts. Also the per-instance helpers that only
 tests call: the labelled-hypergraph enumerator, the connected-bound check,
 the (s+1)-subset scan that `edge_bound_check` used before it shared
-`certify.min_subset_edges`, and `find_small_cut` with the graph-search
-components it used before it worked on vertex masks."""
+`certify.min_subset_edges`, `find_small_cut` with the graph-search
+components it used before it worked on vertex masks, and the instance
+constructor of the randomized suites before it unranked its draws."""
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 from critgraph.hypergraph import Graph, Hypergraph, two_section
@@ -238,3 +240,12 @@ def small_cut_suite(
                 continue
             report.checked += 1
     return report
+
+
+def random_uniform_hypergraph(rng, n: int, s: int, edge_count: int) -> Hypergraph:
+    """edge_count distinct s-edges drawn without replacement."""
+    total = math.comb(n, s)
+    edge_count = min(edge_count, total)
+    all_edges = list(combinations(range(n), s))
+    picked = rng.choice(total, size=edge_count, replace=False)
+    return Hypergraph(n, [all_edges[i] for i in sorted(picked)])

@@ -177,6 +177,29 @@ def test_check_certificate_catches_wrong_graph():
     assert any("2-section" in r for r in reasons)
 
 
+@pytest.mark.parametrize(
+    "edges, reasons",
+    [
+        # 4-uniform, but on far more vertices than params.n.
+        ([(0, 1, 2, 3)], ["hypergraph has 16000 vertices, params say 5"]),
+        ([tuple(range(16_000))],
+         ["hypergraph has 16000 vertices, params say 5", "hypergraph is not 4-uniform"]),
+    ],
+)
+def test_check_certificate_reports_wrong_shape_before_rebuilding_the_graph(edges, reasons, monkeypatch):
+    # Rebuilding the 2-section's complement on 16,000 vertices would take
+    # 32 MB of masks; the shape reasons come back without it.
+    import critgraph.certify as certify
+
+    def no_rebuild(*_):
+        raise AssertionError("graph rebuilt for a hypergraph of the wrong shape")
+
+    wrong = replace(_certified_fixture(), hypergraph=Hypergraph(16_000, edges))
+    monkeypatch.setattr(certify, "two_section", no_rebuild)
+    monkeypatch.setattr(certify, "complement", no_rebuild)
+    assert check_certificate(wrong) == (False, reasons)
+
+
 def test_check_certificate_catches_false_sparsity_claim():
     cert = _certified_fixture()
     lying_sparsity = replace(cert.sparsity, holds=True, violator=None)

@@ -182,6 +182,45 @@ def test_huge_vertex_count_with_few_rows_is_refused_at_once(tmp_path, capsys):
     )
 
 
+def _one_edge_on_every_vertex(n: int) -> dict:
+    doc = _frozen_doc()
+    doc["hypergraph"]["n"] = doc["graph"]["n"] = n
+    doc["hypergraph"]["edges"] = [list(range(n))]
+    doc["graph"]["edges"] = []
+    return doc
+
+
+def test_edge_longer_than_s_is_refused_before_any_graph(tmp_path, capsys):
+    # One edge on all n vertices lowers the complement's edge floor to 0,
+    # so only the edge-length check keeps verify from building graphs of
+    # n^2 bits (88 MB of RSS at n = 16,000 when they were built).
+    n = 16_000
+    path = tmp_path / "one-edge.json"
+    path.write_text(json.dumps(_one_edge_on_every_vertex(n)))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        assert main(["verify", str(path)]) == 1
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 10 * 2**20
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"parse error: bad hypergraph: an edge has {n} vertices, params say s = 4\n"
+
+
+def test_edges_of_length_at_most_s_still_decode():
+    # Shorter edges are not refused by the decoder: check_certificate
+    # reports them as a uniformity failure.
+    doc = _frozen_doc()
+    doc["hypergraph"]["edges"][0] = doc["hypergraph"]["edges"][0][:3]
+    ok, reasons = check_certificate(certificate_from_dict(doc))
+    assert not ok and reasons == ["hypergraph is not 4-uniform"]
+
+
 def _honest_docs():
     yield _frozen_doc()
     for seed in (1, 7, 11):
@@ -201,8 +240,10 @@ def test_edge_floor_holds_on_honest_certificates():
 @given(hypergraphs(max_n=12, sizes=(1, 2, 3, 4, 5), max_edges=10))
 def test_edge_floor_never_refuses_the_true_graph(h):
     # The floor counts every pair of every edge once, so overlapping edges
-    # only make it looser: the honest graph always decodes.
+    # only make it looser: the honest graph always decodes. The params are
+    # those of s = 5, so that no drawn edge is longer than s.
     doc = _frozen_doc()
+    doc["params"] = {key: getattr(derive_params(2, 2), key) for key in doc["params"]}
     doc["hypergraph"] = {"n": h.n, "edges": [list(e) for e in h.edges]}
     doc["graph"] = {"n": h.n, "edges": [list(e) for e in complement(two_section(h)).edges]}
     back = certificate_from_dict(doc)
@@ -549,7 +590,8 @@ def test_cli_rejects_negative_seed(argv, capsys):
 @pytest.mark.parametrize(
     "s, n, message",
     [("0", "6", "need s >= 2"), ("1", "6", "need s >= 2"), ("-2", "6", "need s >= 2"),
-     ("3", "0", "need n >= s"), ("3", "-3", "need n >= s"), ("4", "3,8", "need n >= s")],
+     ("3", "0", "need n >= s"), ("3", "-3", "need n >= s"), ("4", "3,8", "need n >= s"),
+     ("3", "6,7", "n=7 not divisible by s=3")],
 )
 def test_cli_sweep_rejects_bad_shape(s, n, message, capsys):
     assert main(["sweep", "--s", s, "--n", n, "--p", "0.1", "--samples", "2", "--seed", "1"]) == 1

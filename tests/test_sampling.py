@@ -15,8 +15,11 @@ from amplification import sample_amplified, sample_union_rounds
 from reference_sampling import _sampled_ranks as reference_sampled_ranks
 from reference_sampling import _unrank_subset as reference_unrank
 from reference_sampling import numpy_rng, numpy_seed
+from reference_sampling import pm_threshold_sweep as reference_sweep
 from critgraph.certformat import certificate_from_dict, certificate_to_json, write_sweep_csv
+from critgraph import sampling
 from critgraph.certify import verify_construction
+from critgraph.cli import main
 from critgraph.hypergraph import Hypergraph
 from critgraph.sampling import (
     ConstructionParams,
@@ -419,3 +422,129 @@ def test_sampled_hypergraph_equals_checked_constructor(k, C, seed):
 def test_coupled_family_equals_checked_constructor(seed, n, levels):
     for h in coupled_hypergraph_family(n, 3, levels, seed):
         _same_value(h, Hypergraph(h.n, list(h.edges)))
+
+
+# The sweep decides a sample with one search at the top level and bisects
+# only when that search matches; the level-by-level loop it replaced is the
+# oracle, and the two must give equal points on every grid.
+
+
+@pytest.mark.parametrize(
+    "s, n_list, grid, samples, seed",
+    [
+        (2, [2, 4, 6, 8], [0.0, 0.1, 0.3, 0.1, 1.0], 12, 5),
+        (2, [10, 12], [0.3, 0.05, 0.2, 0.2, 0.0], 15, 6),
+        (3, [3, 6, 9, 12], [0.5, 0.05, 0.2, 0.2], 12, 7),
+        (3, [12, 18], [0.0, 0.01, 0.02, 0.03, 0.04, 0.05], 10, 8),
+        (4, [4, 8, 12], [1.0, 0.0, 0.1, 1.0, 0.02], 10, 9),
+        (4, [8], [0.25], 10, 10),
+        # Dense grids: nearly every sample matches at the top.
+        (3, [6, 9], [0.4, 0.6, 0.8, 1.0, 0.9], 15, 11),
+        (4, [8], [0.3, 0.5, 0.7, 0.5], 15, 12),
+    ],
+)
+def test_sweep_equals_level_by_level_reference(s, n_list, grid, samples, seed):
+    assert pm_threshold_sweep(s, n_list, grid, samples, seed) == reference_sweep(s, n_list, grid, samples, seed)
+
+
+def test_sweep_dense_grid_matches_at_the_top():
+    pts = pm_threshold_sweep(3, [6, 9], [0.4, 0.6, 0.8, 1.0, 0.9], 15, 11)
+    assert {pt.p: pt.successes for pt in pts if pt.n == 9}[1.0] == 15
+    assert sum(pt.successes for pt in pts if pt.p == 0.4) > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(2, [4, 6, 10]), (3, [6, 9]), (4, [8, 12])]),
+    st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 0.6)), min_size=1, max_size=6),
+    st.integers(1, 6),
+    st.integers(0, 2**64 - 1),
+)
+def test_sweep_equals_reference_on_random_grids(shape, grid, samples, seed):
+    s, n_list = shape
+    assert pm_threshold_sweep(s, n_list, grid, samples, seed) == reference_sweep(s, n_list, grid, samples, seed)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from([(2, 8), (3, 9), (3, 15), (4, 12)]),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+    st.integers(0, 2**64 - 1),
+)
+def test_top_sample_equals_top_of_coupled_family(shape, levels, seed):
+    s, n = shape
+    levels.sort()  # as the sweep sorts its grid: the family's last level is the top
+    assert sample_hypergraph(n, s, max(levels), seed) == coupled_hypergraph_family(n, s, levels, seed)[-1]
+
+
+def _no_sampling(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("sampled before the input was checked")
+
+    for name in ("derive_seed", "sample_hypergraph", "coupled_hypergraph_family"):
+        monkeypatch.setattr(sampling, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [[-0.1, 0.2, 0.5], [0.0, 0.2, 1.5], [0.3, -1e-300, 0.1], [float("nan"), 0.1], [0.1, float("inf")]],
+)
+def test_sweep_refuses_any_p_outside_unit_interval_before_sampling(grid, monkeypatch, capsys):
+    _no_sampling(monkeypatch)
+    with pytest.raises(ValueError, match="probability out of range"):
+        pm_threshold_sweep(3, [6], grid, 5, seed=1)
+    argv = ["sweep", "--s", "3", "--n", "6", "--p=" + ",".join(map(repr, grid)), "--samples", "5", "--seed", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: probability out of range\n"
+
+
+def test_sweep_empty_grid_yields_no_rows(capsys):
+    assert pm_threshold_sweep(3, [6, 9], [], 5, seed=1) == []
+    assert reference_sweep(3, [6, 9], [], 5, seed=1) == []
+    assert main(["sweep", "--s", "3", "--n", "6", "--p", "", "--samples", "5", "--seed", "1"]) == 0
+    assert capsys.readouterr().out == "n,p,samples,successes,fraction\n"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((3, [7], [0.1], 5), "n=7 not divisible by s=3"),
+        ((4, [8, 10], [0.1], 5), "n=10 not divisible by s=4"),
+        ((3, [6], [0.1], 0), "need samples >= 1, got 0"),
+        ((3, [6], [0.1], -2), "need samples >= 1, got -2"),
+    ],
+)
+def test_sweep_shape_refusals_unchanged(args, message, monkeypatch):
+    _no_sampling(monkeypatch)
+    for sweep in (pm_threshold_sweep, reference_sweep):
+        with pytest.raises(ValueError) as err:
+            sweep(*args, seed=1)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_cli_sweep_refuses_samples_below_one(samples, capsys):
+    assert main(["sweep", "--s", "3", "--n", "6", "--p", "0.1", "--samples", samples, "--seed", "1"]) == 1
+    assert capsys.readouterr().err == "error: need --samples >= 1\n"
+
+
+def test_sweep_searches_each_sample_once_unless_it_matches(monkeypatch):
+    from critgraph import matching
+
+    real = matching.find_perfect_matching
+    calls: list[bool] = []
+
+    def counted(h, budget=None):
+        found = real(h, budget=budget)
+        calls.append(found is not None)
+        return found
+
+    monkeypatch.setattr(matching, "find_perfect_matching", counted)
+    grid = [i / 100 for i in range(9)]  # nine levels: at most 4 more searches
+    samples = 40
+    pts = pm_threshold_sweep(3, [12], grid, samples, seed=3)
+    monkeypatch.setattr(matching, "find_perfect_matching", real)
+    assert pts == reference_sweep(3, [12], grid, samples, seed=3)
+    matched = pts[-1].successes
+    assert 0 < matched < samples
+    assert samples <= len(calls) <= samples + 4 * matched

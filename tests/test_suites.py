@@ -1,7 +1,8 @@
 """The depth-first `obs1` and `blocks` walks against the enumerating suites
 they replaced, kept in `reference_suites`: equal `SuiteReport` dicts,
 counts, skips and counterexamples in the same order. Also the shared
-(s+1)-subset scan of `edge_bound_check` against the scan it replaced."""
+(s+1)-subset scan of `edge_bound_check` against the scan it replaced, and
+the randomized suites' unranked instances against the list-indexed ones."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 
 import reference_suites
+from reference_sampling import numpy_rng
 from conftest import uniform_hypergraphs
 from critgraph import suites
 from critgraph.lemmas import (
@@ -160,3 +162,36 @@ def test_edge_bound_scan_equals_reference(s, data):
     worst, count = reference_suites.max_subset_edges(h, s)
     assert evidence == (worst, count)
     assert holds == (count <= math.comb(s, 2) + 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(lambda s: st.tuples(st.just(s), st.integers(s, 14))),
+    st.integers(1, 400),
+    st.integers(0, 2**64 - 1),
+)
+def test_random_instance_equals_list_indexed_reference(shape, count, seed):
+    # count may exceed C(n, s): both then take every candidate edge.
+    s, n = shape
+    fast = suites._random_uniform_hypergraph(numpy_rng(seed), n, s, count)
+    slow = reference_suites.random_uniform_hypergraph(numpy_rng(seed), n, s, count)
+    assert fast == slow
+    assert len(fast.edges) == min(count, math.comb(n, s))
+    assert all(type(v) is int for e in fast.edges for v in e)
+
+
+_RANDOM_SUITES = {
+    "edgebound": lambda seed: suites.two_section_bound_suite(count=150, seed=seed),
+    "sparsity-oracle": lambda seed: suites.sparsity_oracle_suite(count=150, seed=seed),
+    "matching-oracle": lambda seed: suites.matching_oracle_suite(count_per_s=40, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("suite", sorted(_RANDOM_SUITES))
+def test_random_suite_reports_unchanged(suite, seed, monkeypatch):
+    run = _RANDOM_SUITES[suite]
+    report = run(seed).to_dict()
+    monkeypatch.setattr(suites, "_random_uniform_hypergraph", reference_suites.random_uniform_hypergraph)
+    assert report == run(seed).to_dict()
+    assert report["checked"] > 0
