@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .certify import Certificate, Conclusions, SubsetEdgeCount
 from .hypergraph import Graph, Hypergraph, Matching
-from .matching import CORRUPT, MatchabilityReport, VertexOutcome
+from .matching import CORRUPT, MATCHED, SKIPPED, TIMEOUT, UNMATCHABLE, MatchabilityReport, VertexOutcome
 from .sampling import ConstructionParams, SweepPoint
 from .sparsity import SparsityVerdict, Violator
 
@@ -26,7 +26,7 @@ SCHEMA_VERSION = 1
 # instance per status is shared: outcomes are frozen.
 _NO_WITNESS = {
     status: VertexOutcome(status=status, matching=None)
-    for status in ("matched", "unmatchable", "timeout", "skipped", "corrupt")
+    for status in (MATCHED, UNMATCHABLE, TIMEOUT, SKIPPED, CORRUPT)
 }
 
 

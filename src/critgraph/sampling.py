@@ -2,14 +2,15 @@
 hypergraphs, the streaming sparsity rejection of the restart loop, and the
 empirical perfect-matching threshold sweep.
 
-Randomness is pure Python and needs no numpy. Seeds go through numpy's
-SeedSequence hashing and uniforms come from the Philox4x64-10 counter-based
-generator (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-SC 2011), both reimplemented here so that every seed gives the same 64-bit
-words and the same doubles as numpy's
+Randomness is pure Python. Seeds go through SeedSequence hashing and
+uniforms come from the Philox4x64-10 counter-based generator (Salmon et
+al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011), both
+written here so that every seed gives the same 64-bit words and the same
+doubles as numpy's
 Generator(Philox(SeedSequence(seed))).random() would, on any platform.
-Derived streams (per restart, per sweep cell) are split off the base seed
-with SeedSequence spawn keys. The hash constants of SeedSequence do not
+Derived streams (per restart, per sweep cell, per instance of the
+randomized lemma-check suites) are split off the base seed with
+SeedSequence spawn keys. The hash constants of SeedSequence do not
 depend on the data and are tabulated once; the ten Philox round keys are
 expanded once per stream.
 
@@ -431,7 +432,6 @@ def pm_threshold_sweep(
     p_grid: list[float],
     samples: int,
     seed: int,
-    matching_budget: float = 10.0,
 ) -> list[SweepPoint]:
     """Empirical probability that a binomial s-uniform hypergraph has a
     perfect matching, for every (n, p) in n_list x p_grid.
@@ -469,7 +469,7 @@ def pm_threshold_sweep(
         for sample_idx in range(samples):
             cell_seed = derive_seed(seed, n_idx, sample_idx)
             top = sample_hypergraph(n, s, levels[-1], cell_seed)
-            witness = find_perfect_matching(top, budget=matching_budget)
+            witness = find_perfect_matching(top)
             if witness is None:
                 continue
             family = coupled_hypergraph_family(n, s, levels, cell_seed)
@@ -478,7 +478,7 @@ def pm_threshold_sweep(
                 mid = (lo + hi) // 2
                 found = witness
                 if not set(family[mid].edges).issuperset(witness.edges):
-                    found = find_perfect_matching(family[mid], budget=matching_budget)
+                    found = find_perfect_matching(family[mid])
                 if found is None:
                     lo = mid + 1
                 else:

@@ -10,10 +10,10 @@ falsifiable.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
-from typing import TYPE_CHECKING
 
 from .hypergraph import Hypergraph, merge_component
 from .lemmas import (
@@ -27,11 +27,8 @@ from .lemmas import (
     require_within_cap,
 )
 from .matching import find_perfect_matching
-from .sampling import _unrank_sorted, derive_seed
+from .sampling import _uniforms, _unrank_sorted, derive_seed
 from .sparsity import brute_force_sparsity, check_sparsity, violator_problems
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass
@@ -244,24 +241,36 @@ def _small_cut_walk(n: int, max_edges: int, sizes: set[int], report: SuiteReport
     report.counterexamples += _in_enumeration_order(found)
 
 
-def _suite_rng(seed: int, *path: int) -> np.random.Generator:
-    """numpy's Philox generator on the stream derive_seed(seed, *path).
-    Only the randomized suites draw integers and choices from numpy, so
-    numpy is imported here and nowhere else in the package."""
-    import numpy as np
+def _below(draws: Iterator[float], bound: int) -> int:
+    """A uniform integer in [0, bound), exact for every bound >= 1: Lemire's
+    multiply-shift with rejection on an x of L bits, the exact 53-bit
+    integers of the fewest doubles with 2**L >= bound, concatenated."""
+    bits = 53 * max(1, ((bound - 1).bit_length() + 52) // 53)
+    floor = (1 << bits) % bound  # rejecting low parts below it leaves equal odds
+    while True:
+        x = 0
+        for _ in range(bits // 53):
+            x = x << 53 | int(next(draws) * 2.0**53)
+        product = x * bound
+        if product & ((1 << bits) - 1) >= floor:
+            return product >> bits
 
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(derive_seed(seed, *path))))
+
+def _distinct_below(draws: Iterator[float], total: int, count: int) -> list[int]:
+    """min(count, total) distinct ranks in [0, total), ascending, each
+    subset equally likely: Floyd's algorithm."""
+    picked: set[int] = set()
+    for j in range(total - min(count, total), total):
+        t = _below(draws, j + 1)
+        picked.add(j if t in picked else t)
+    return sorted(picked)
 
 
-def _random_uniform_hypergraph(
-    rng: np.random.Generator, n: int, s: int, edge_count: int
-) -> Hypergraph:
-    """edge_count distinct s-edges drawn without replacement: the sorted
-    ranks of one choice over the C(n, s) candidates, unranked in
-    lexicographic order."""
-    total = math.comb(n, s)
-    picked = rng.choice(total, size=min(edge_count, total), replace=False)
-    return Hypergraph._from_canonical(n, tuple(_unrank_sorted(sorted(picked.tolist()), n, s)))
+def _random_uniform_hypergraph(draws: Iterator[float], n: int, s: int, edge_count: int) -> Hypergraph:
+    """edge_count distinct s-edges drawn without replacement: distinct
+    ranks over the C(n, s) candidates, unranked in lexicographic order."""
+    ranks = _distinct_below(draws, math.comb(n, s), edge_count)
+    return Hypergraph._from_canonical(n, tuple(_unrank_sorted(ranks, n, s)))
 
 
 def two_section_bound_suite(
@@ -276,11 +285,10 @@ def two_section_bound_suite(
     report = SuiteReport("edgebound")
     attempt = 0
     while report.checked < count and attempt < max_attempts:
-        rng = _suite_rng(seed, attempt)
+        draws = _uniforms(derive_seed(seed, attempt))
         attempt += 1
-        n = int(rng.integers(s + 4, max_n + 1))
-        edges = int(rng.integers(2, n // 2 + 2))
-        h = _random_uniform_hypergraph(rng, n, s, edges)
+        n = s + 4 + _below(draws, max_n - s - 3)
+        h = _random_uniform_hypergraph(draws, n, s, 2 + _below(draws, n // 2))
         try:
             holds, (worst, worst_count) = edge_bound_check(h, s)
         except HypothesisNotMet:
@@ -314,10 +322,9 @@ def sparsity_oracle_suite(
     _at_least("max_n", max_n, s + 2)
     report = SuiteReport("sparsity-oracle")
     for i in range(count):
-        rng = _suite_rng(seed, i)
-        n = int(rng.integers(s + 2, max_n + 1))
-        edges = int(rng.integers(1, max_edge_count + 1))
-        h = _random_uniform_hypergraph(rng, n, s, edges)
+        draws = _uniforms(derive_seed(seed, i))
+        n = s + 2 + _below(draws, max_n - s - 1)
+        h = _random_uniform_hypergraph(draws, n, s, 1 + _below(draws, max_edge_count))
         fast = check_sparsity(h, m, s)
         slow = brute_force_sparsity(h, m, s)
         report.checked += 1
@@ -350,11 +357,10 @@ def matching_oracle_suite(
         produced = 0
         attempt = 0
         while produced < count_per_s:
-            rng = _suite_rng(seed, s, attempt)
+            draws = _uniforms(derive_seed(seed, s, attempt))
             attempt += 1
-            n = int(rng.integers(s, max_n + 1))
-            target_edges = int(rng.integers(1, max(2, 3 * n // s)))
-            h = _random_uniform_hypergraph(rng, n, s, target_edges)
+            n = s + _below(draws, max_n - s + 1)
+            h = _random_uniform_hypergraph(draws, n, s, 1 + _below(draws, max(1, 3 * n // s - 1)))
             if len(h.edges) > max_oracle_edges:
                 continue
             produced += 1

@@ -23,7 +23,7 @@ from critgraph.lemmas import (
     density_hypothesis_check,
     require_within_cap,
 )
-from critgraph.suites import SuiteReport
+from critgraph.suites import SuiteReport, _distinct_below
 from graph_ops import adjacency, is_connected
 
 
@@ -242,10 +242,9 @@ def small_cut_suite(
     return report
 
 
-def random_uniform_hypergraph(rng, n: int, s: int, edge_count: int) -> Hypergraph:
-    """edge_count distinct s-edges drawn without replacement."""
-    total = math.comb(n, s)
-    edge_count = min(edge_count, total)
+def random_uniform_hypergraph(draws, n: int, s: int, edge_count: int) -> Hypergraph:
+    """edge_count distinct s-edges drawn without replacement: the same
+    ranks as the suites draw, each an index into the list of every s-edge."""
     all_edges = list(combinations(range(n), s))
-    picked = rng.choice(total, size=edge_count, replace=False)
-    return Hypergraph(n, [all_edges[i] for i in sorted(picked)])
+    picked = _distinct_below(draws, math.comb(n, s), edge_count)
+    return Hypergraph(n, [all_edges[i] for i in picked])

@@ -2,11 +2,13 @@
 they replaced, kept in `reference_suites`: equal `SuiteReport` dicts,
 counts, skips and counterexamples in the same order. Also the shared
 (s+1)-subset scan of `edge_bound_check` against the scan it replaced, and
-the randomized suites' unranked instances against the list-indexed ones."""
+the randomized suites' unranked instances against the list-indexed ones,
+and the suites' exact bounded integers and Floyd sampling."""
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import combinations
 
 import hypothesis.strategies as st
@@ -14,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 
 import reference_suites
-from reference_sampling import numpy_rng
 from conftest import uniform_hypergraphs
 from critgraph import suites
 from critgraph.lemmas import (
@@ -26,6 +27,7 @@ from critgraph.lemmas import (
     find_small_cut,
     require_within_cap,
 )
+from critgraph.sampling import _uniforms, derive_seed
 from critgraph.sparsity import check_sparsity
 
 SIZE_SETS = [set(c) for k in range(1, 5) for c in combinations(range(1, 5), k)]
@@ -173,8 +175,8 @@ def test_edge_bound_scan_equals_reference(s, data):
 def test_random_instance_equals_list_indexed_reference(shape, count, seed):
     # count may exceed C(n, s): both then take every candidate edge.
     s, n = shape
-    fast = suites._random_uniform_hypergraph(numpy_rng(seed), n, s, count)
-    slow = reference_suites.random_uniform_hypergraph(numpy_rng(seed), n, s, count)
+    fast = suites._random_uniform_hypergraph(_uniforms(seed), n, s, count)
+    slow = reference_suites.random_uniform_hypergraph(_uniforms(seed), n, s, count)
     assert fast == slow
     assert len(fast.edges) == min(count, math.comb(n, s))
     assert all(type(v) is int for e in fast.edges for v in e)
@@ -195,3 +197,62 @@ def test_random_suite_reports_unchanged(suite, seed, monkeypatch):
     monkeypatch.setattr(suites, "_random_uniform_hypergraph", reference_suites.random_uniform_hypergraph)
     assert report == run(seed).to_dict()
     assert report["checked"] > 0
+
+
+def test_below_rejects_then_accepts():
+    # For bound 3, 2**53 % 3 == 2, so an x whose product 3x has low part
+    # 0 or 1 is redrawn: x = 0 is, and x = 2**52 gives 3 * 2**52 >> 53 == 1.
+    draws = iter([0.0, 0.5])
+    assert suites._below(draws, 3) == 1
+    assert next(draws, None) is None
+
+
+def test_below_bound_one_is_zero():
+    for u in (0.0, 0.5, 1 - 2.0**-53):
+        assert suites._below(iter([u]), 1) == 0
+
+
+def test_below_concatenates_draws_past_53_bits():
+    bound = 2**53 + 1  # 2**106 % bound == 1, so x = 0 is redrawn
+    draws = iter([0.0, 0.0, 0.5, 0.0])
+    assert suites._below(draws, bound) == 2**52  # x = 2**105
+    assert next(draws, None) is None
+    top = 1 - 2.0**-53  # x = 2**106 - 1
+    assert suites._below(iter([top, top]), bound) == bound - 1
+    assert suites._below(iter([top] * 3), 2**106 + 1) == 2**106
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2**200), st.integers(0, 2**64 - 1))
+def test_below_stays_in_range(bound, seed):
+    assert 0 <= suites._below(_uniforms(seed), bound) < bound
+
+
+@pytest.mark.parametrize("total, count", [(1, 1), (10, 3), (10, 10), (10, 25), (35, 34), (math.comb(100, 15), 6)])
+def test_distinct_below_sizes(total, count):
+    for seed in range(20):
+        ranks = suites._distinct_below(_uniforms(seed), total, count)
+        assert ranks == sorted(set(ranks))
+        assert len(ranks) == min(count, total)
+        assert 0 <= ranks[0] and ranks[-1] < total
+
+
+def test_random_instance_past_53_bit_ranks():
+    # C(100, 15) > 2**57: both the ranks and their draws go past one double.
+    h = suites._random_uniform_hypergraph(_uniforms(3), 100, 15, 6)
+    assert len(h.edges) == 6
+    assert all(len(e) == 15 and list(e) == sorted(set(e)) and e[-1] < 100 for e in h.edges)
+
+
+def test_distinct_below_is_uniform_over_subsets():
+    # Every 3-subset of C(5, 2) = 10 ranks, 120 in all, at 25 expected
+    # each over 3000 seeds. The seeds are fixed, so the statistic is
+    # too; 172.4 is the 0.999 quantile of chi-square with 119 degrees.
+    seeds = 3000
+    counts = Counter(
+        tuple(suites._distinct_below(_uniforms(derive_seed(4242, i)), math.comb(5, 2), 3)) for i in range(seeds)
+    )
+    assert set(counts) == set(combinations(range(10), 3))
+    expected = seeds / 120
+    statistic = sum((c - expected) ** 2 / expected for c in counts.values())
+    assert statistic < 172.4
