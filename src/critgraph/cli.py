@@ -14,6 +14,8 @@ import functools
 import json
 import secrets
 import sys
+from collections.abc import Iterator
+from itertools import islice
 from pathlib import Path
 
 from .certformat import (
@@ -25,6 +27,7 @@ from .certformat import (
 from .certify import Certificate, check_certificate, verify_construction
 from .lemmas import CapExceeded, RequestRefused
 from .sampling import (
+    ConstructionParams,
     derive_params,
     derive_seed,
     pm_threshold_sweep,
@@ -59,23 +62,21 @@ def _seed(text: str) -> int:
     return value
 
 
-def _attempt_summary(args: tuple[int, int, float | None, int, int, float]) -> tuple[int, int, bool]:
+def _attempt_summary(args: tuple[ConstructionParams, int, int, float]) -> tuple[int, int, bool]:
     """(attempt index, stages passed, fully robust) for one restart; pure
     in its arguments, so parallel fan-out is deterministic. A sample that
     fails sparsity while its edges stream in scores 0 at once, as the full
     check would score it."""
-    r, k, C, base_seed, idx, budget = args
-    params = derive_params(r, k, C)
+    params, base_seed, idx, budget = args
     if sample_fails_sparsity(params.n, params.s, params.q, params.m, derive_seed(base_seed, idx)):
         return idx, 0, False
-    cert = _attempt_certificate(r, k, C, base_seed, idx, budget, stop_early=True)
+    cert = _attempt_certificate(params, base_seed, idx, budget, stop_early=True)
     return idx, cert.stages_passed(), cert.conclusions.robust_to_r
 
 
 def _attempt_certificate(
-    r: int, k: int, C: float | None, base_seed: int, idx: int, budget: float, stop_early: bool
+    params: ConstructionParams, base_seed: int, idx: int, budget: float, stop_early: bool
 ) -> Certificate:
-    params = derive_params(r, k, C)
     child_seed = derive_seed(base_seed, idx)
     h = sample_hypergraph(params.n, params.s, params.q, child_seed)
     return verify_construction(
@@ -83,10 +84,11 @@ def _attempt_certificate(
     )
 
 
-def _attempt_results(jobs: list[tuple], workers: int):
+def _attempt_results(jobs: Iterator[tuple], workers: int):
     """The attempt summaries of `jobs`, in index order: computed here for
     one worker, else by a process pool one chunk at a time, so a success
-    stops the search within a chunk whatever the scheduling."""
+    stops the search within a chunk whatever the scheduling. Jobs are taken
+    from the iterator only as they are needed."""
     if workers <= 1:
         yield from map(_attempt_summary, jobs)
         return
@@ -94,8 +96,8 @@ def _attempt_results(jobs: list[tuple], workers: int):
 
     chunk = workers * 4
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for lo in range(0, len(jobs), chunk):
-            yield from pool.map(_attempt_summary, jobs[lo : lo + chunk])
+        while batch := list(islice(jobs, chunk)):
+            yield from pool.map(_attempt_summary, batch)
 
 
 def run_construct_search(
@@ -111,8 +113,12 @@ def run_construct_search(
     """Sample-and-verify loop: (restarts + 1) attempts with derived seeds;
     the first fully robust attempt wins, otherwise the attempt passing the
     most stages (ties to the lowest index) is re-verified thoroughly and
-    returned as the best effort. Returns (certificate, success, index)."""
-    jobs = [(r, k, C, base_seed, idx, budget) for idx in range(restarts + 1)]
+    returned as the best effort. Returns (certificate, success, index).
+
+    The parameters are derived once for the whole search, and the attempt
+    jobs are produced lazily, so memory does not grow with `restarts`."""
+    params = derive_params(r, k, C)
+    jobs = ((params, base_seed, idx, budget) for idx in range(restarts + 1))
     best_idx = 0
     best_score = -1
     success_idx: int | None = None
@@ -127,9 +133,9 @@ def run_construct_search(
                 best_idx, best_score = idx, score
 
     if success_idx is not None:
-        cert = _attempt_certificate(r, k, C, base_seed, success_idx, budget, stop_early=True)
+        cert = _attempt_certificate(params, base_seed, success_idx, budget, stop_early=True)
         return cert, True, success_idx
-    cert = _attempt_certificate(r, k, C, base_seed, best_idx, budget, stop_early=False)
+    cert = _attempt_certificate(params, base_seed, best_idx, budget, stop_early=False)
     return cert, False, best_idx
 
 

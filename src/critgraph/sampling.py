@@ -12,7 +12,8 @@ Derived streams (per restart, per sweep cell, per instance of the
 randomized lemma-check suites) are split off the base seed with
 SeedSequence spawn keys. The hash constants of SeedSequence do not
 depend on the data and are tabulated once; the ten Philox round keys are
-expanded once per stream.
+expanded once per stream. A base seed's pool is mixed once and cached, so
+each stream derived from it only mixes in its spawn key.
 
 A sample is the ascending sequence of candidate-edge ranks in
 [0, C(n, s)), found by geometric skipping, each unranked to its
@@ -203,25 +204,37 @@ def _words32(value: int) -> list[int]:
     return words
 
 
-def _seed_state(entropy: int, spawn_key: tuple[int, ...], n_words: int) -> list[int]:
-    """SeedSequence(entropy, spawn_key=spawn_key).generate_state(n_words),
-    as 32-bit words. Every hash step is hashmix(v) = h ^ h >> 16 with
-    h = (v ^ xor) * mult mod 2**32, and every mix of a pool word x with
-    a hashed word y is (L x - R y) mod 2**32, folded the same way."""
-    run = _words32(entropy)
-    spawn = [word for key in spawn_key for word in _words32(key)]
-    if spawn and len(run) < _POOL_SIZE:
-        run += [0] * (_POOL_SIZE - len(run))  # keeps spawn keys apart from entropy
-    words = run + spawn
-    extra = words[_POOL_SIZE:]
+def _mix_in(pool: list[int], words: list[int], step: int) -> int:
+    """Mix each of `words` into every pool word in place, with the hash
+    constants from step `step` on; return the next step. Every hash step is
+    hashmix(v) = h ^ h >> 16 with h = (v ^ xor) * mult mod 2**32, and every
+    mix of a pool word x with a hashed word y is (L x - R y) mod 2**32,
+    folded the same way."""
     consts = _MIX_CONSTANTS
-    if _POOL_SIZE * (_POOL_SIZE + len(extra)) > len(consts):
-        consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + len(extra)))
+    if step + _POOL_SIZE * len(words) > len(consts):
+        consts = _hash_constants(_INIT_A, _MULT_A, step + _POOL_SIZE * len(words))
     mask, left, right = _MASK32, _MIX_MULT_L, _MIX_MULT_R
+    for word in words:
+        for dst in range(_POOL_SIZE):
+            xor, mult = consts[step]
+            step += 1
+            h = (word ^ xor) * mult & mask
+            x = (left * pool[dst] - right * (h ^ h >> 16)) & mask
+            pool[dst] = x ^ x >> 16
+    return step
 
+
+def _entropy_pool(entropy: int) -> tuple[tuple[int, ...], int]:
+    """The SeedSequence pool after mixing in the words of `entropy`, and
+    the number of hash steps taken. Spawn-key words are mixed in after
+    these, so the pool does not depend on the spawn key: padding the
+    entropy with zeros up to the pool size, as SeedSequence does before a
+    spawn key, changes no word of the pool fill."""
+    words = _words32(entropy)
+    mask, left, right = _MASK32, _MIX_MULT_L, _MIX_MULT_R
     pool = []
     for i in range(_POOL_SIZE):
-        xor, mult = consts[i]
+        xor, mult = _MIX_CONSTANTS[i]
         h = ((words[i] if i < len(words) else 0) ^ xor) * mult & mask
         pool.append(h ^ h >> 16)
     for src, dst, xor, mult in _SELF_MIXES:
@@ -229,14 +242,28 @@ def _seed_state(entropy: int, spawn_key: tuple[int, ...], n_words: int) -> list[
         x = (left * pool[dst] - right * (h ^ h >> 16)) & mask
         pool[dst] = x ^ x >> 16
     step = _POOL_SIZE * _POOL_SIZE
-    for word in extra:
-        for dst in range(_POOL_SIZE):
-            xor, mult = consts[step]
-            step += 1
-            h = (word ^ xor) * mult & mask
-            x = (left * pool[dst] - right * (h ^ h >> 16)) & mask
-            pool[dst] = x ^ x >> 16
+    if len(words) > _POOL_SIZE:
+        step = _mix_in(pool, words[_POOL_SIZE:], step)
+    return tuple(pool), step
 
+
+@lru_cache(maxsize=16)
+def _base_pool(base: int) -> tuple[tuple[int, ...], int]:
+    """_entropy_pool of a base seed, mixed once for all of its children."""
+    return _entropy_pool(base)
+
+
+def _spawn_state(
+    entropy_pool: tuple[tuple[int, ...], int], spawn_key: tuple[int, ...], n_words: int
+) -> list[int]:
+    """SeedSequence(entropy, spawn_key=spawn_key).generate_state(n_words)
+    as 32-bit words, given _entropy_pool(entropy): the spawn-key words are
+    mixed in, then the pool is hashed into the state."""
+    pool, step = entropy_pool
+    if spawn_key:
+        pool = list(pool)
+        _mix_in(pool, [word for key in spawn_key for word in _words32(key)], step)
+    mask = _MASK32
     out = []
     for i, (xor, mult) in enumerate(_STATE_CONSTANTS[:n_words]):
         h = (pool[i % _POOL_SIZE] ^ xor) * mult & mask
@@ -247,7 +274,7 @@ def _seed_state(entropy: int, spawn_key: tuple[int, ...], n_words: int) -> list[
 def derive_seed(base: int, *path: int) -> int:
     """Deterministic 64-bit child seed for an independent stream: the first
     uint64 of SeedSequence(base, spawn_key=path)."""
-    low, high = _seed_state(base, path, 2)
+    low, high = _spawn_state(_base_pool(base), path, 2)
     return low | high << 32
 
 
@@ -260,7 +287,7 @@ _PHILOX_ROUNDS = 10
 def _round_keys(seed: int) -> tuple[tuple[int, int], ...]:
     """The Philox key of Philox(SeedSequence(seed)), as the key of each of
     the ten rounds."""
-    w0, w1, w2, w3 = _seed_state(seed, (), 4)
+    w0, w1, w2, w3 = _spawn_state(_entropy_pool(seed), (), 4)
     k0, k1 = w0 | w1 << 32, w2 | w3 << 32
     keys = []
     for _ in range(_PHILOX_ROUNDS):
@@ -348,6 +375,12 @@ def _sampled_ranks(total: int, p: float, draws: Iterator[float]) -> Iterator[int
     raise ValueError("uniform stream ended before the last rank")
 
 
+def _sampled_edges(n: int, s: int, p: float, draws: Iterator[float]) -> Iterator[tuple[int, ...]]:
+    """The edges of a binomial sample in rank order, each unranked as its
+    rank is drawn from `draws`."""
+    return _unrank_sorted(_sampled_ranks(math.comb(n, s), p, draws), n, s)
+
+
 def _check_sample_args(n: int, s: int, p: float) -> None:
     if not 2 <= s <= n:
         raise ValueError(f"need 2 <= s <= n, got s={s}, n={n}")
@@ -360,8 +393,7 @@ def sample_hypergraph(n: int, s: int, p: float, seed: int) -> Hypergraph:
     is a hyperedge independently with probability p. Equal
     (n, s, p, seed) give identical output."""
     _check_sample_args(n, s, p)
-    ranks = _sampled_ranks(math.comb(n, s), p, _uniforms(seed))
-    return Hypergraph._from_canonical(n, tuple(_unrank_sorted(ranks, n, s)))
+    return Hypergraph._from_canonical(n, tuple(_sampled_edges(n, s, p, _uniforms(seed))))
 
 
 def sample_fails_sparsity(n: int, s: int, p: float, m: int, seed: int) -> bool:
@@ -375,8 +407,7 @@ def sample_fails_sparsity(n: int, s: int, p: float, m: int, seed: int) -> bool:
     limit = forced if forced <= m else None
     seen: set[tuple[int, ...]] = set()
     drawn = 0
-    ranks = _sampled_ranks(math.comb(n, s), p, _uniforms(seed))
-    for edge in _unrank_sorted(ranks, n, s):
+    for edge in _sampled_edges(n, s, p, _uniforms(seed)):
         drawn += 1
         if drawn == limit:
             return True
@@ -413,17 +444,25 @@ def coupled_hypergraph_family(n: int, s: int, p_levels: list[float], seed: int) 
         raise ValueError("probability out of range")
     p_max = max(p_levels)
     draws = _uniforms(seed)
-    ranks = list(_sampled_ranks(math.comb(n, s), p_max, draws))
-    # Conditioned on inclusion at level p_max, an edge's latent uniform is
-    # uniform on [0, p_max]; drawing it only for included edges matches the
-    # joint law of thresholding a full table of uniforms. The thresholds
-    # continue the same stream right after the ranks' last draw.
-    thresholds = [p_max * next(draws) for _ in ranks]
-    edges = list(_unrank_sorted(ranks, n, s))
-    family = []
-    for p in p_levels:
-        family.append(Hypergraph._from_canonical(n, tuple(e for e, t in zip(edges, thresholds) if t <= p)))
-    return family
+    edges = tuple(_sampled_edges(n, s, p_max, draws))
+    return _nested_levels(n, edges, p_max, p_levels, draws)
+
+
+def _nested_levels(
+    n: int, edges: tuple[tuple[int, ...], ...], p_max: float, p_levels: list[float], draws: Iterator[float]
+) -> list[Hypergraph]:
+    """The coupled family's level at each p in p_levels, given the edges of
+    its top level p_max and the stream that drew them, positioned right
+    after the draw that ended the ranks.
+
+    Conditioned on inclusion at level p_max, an edge's latent uniform is
+    uniform on [0, p_max]; drawing it only for included edges matches the
+    joint law of thresholding a full table of uniforms. The thresholds
+    continue the stream, one per edge in rank order."""
+    thresholds = [p_max * next(draws) for _ in edges]
+    return [
+        Hypergraph._from_canonical(n, tuple(e for e, t in zip(edges, thresholds) if t <= p)) for p in p_levels
+    ]
 
 
 def pm_threshold_sweep(
@@ -438,13 +477,13 @@ def pm_threshold_sweep(
 
     Samples are coupled across the grid (see coupled_hypergraph_family), so
     for a fixed n the success counts are non-decreasing in p exactly. Each
-    sample is decided by one search at the top level p_max, built with
-    sample_hypergraph from the same stream, whose edges are exactly the
-    family's top level. The levels are nested, so a sample with no perfect
-    matching at p_max has none at any level and is done. Only a sample that
-    matches at p_max is built as the whole family, and a bisection over its
-    levels finds the first one that matches, in at most ceil(log2 L) more
-    searches; a probe whose level holds every edge of a matching already
+    sample is decided by one search at the top level p_max, whose edges are
+    drawn as the family's are. The levels are nested, so a sample with no
+    perfect matching at p_max has none at any level and is done. Only for a
+    sample that matches at p_max are the thresholds drawn, from the same
+    stream right after its ranks, to build the lower levels; a bisection
+    over them finds the first one that matches, in at most ceil(log2 L) more
+    searches, and a probe whose level holds every edge of a matching already
     found needs no search.
     """
     from .matching import find_perfect_matching
@@ -467,12 +506,12 @@ def pm_threshold_sweep(
     for n_idx, n in enumerate(n_list):
         successes = [0] * len(levels)
         for sample_idx in range(samples):
-            cell_seed = derive_seed(seed, n_idx, sample_idx)
-            top = sample_hypergraph(n, s, levels[-1], cell_seed)
-            witness = find_perfect_matching(top)
+            draws = _uniforms(derive_seed(seed, n_idx, sample_idx))
+            edges = tuple(_sampled_edges(n, s, levels[-1], draws))
+            witness = find_perfect_matching(Hypergraph._from_canonical(n, edges))
             if witness is None:
                 continue
-            family = coupled_hypergraph_family(n, s, levels, cell_seed)
+            family = _nested_levels(n, edges, levels[-1], levels, draws)
             lo, hi = 0, len(levels) - 1  # the first matching level is in [lo, hi]
             while lo < hi:
                 mid = (lo + hi) // 2

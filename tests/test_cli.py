@@ -21,7 +21,7 @@ from critgraph.certformat import (
     read_certificate,
     write_sweep_csv,
 )
-from critgraph import cli, suites
+from critgraph import cli, sampling, suites
 from critgraph.certify import check_certificate, verify_construction
 from critgraph.cli import main, run_construct_search
 from critgraph.hypergraph import complement, two_section
@@ -380,6 +380,38 @@ def test_parallel_matches_serial():
         assert _search_with_progress(k, C, seed, workers=2) == serial
         _, ok, idx, seen = serial
         assert [attempt for attempt, _ in seen] == list(range(idx + 1 if ok else 10))
+
+
+def test_search_derives_params_and_base_pool_once(monkeypatch):
+    # Neither the parameters nor the base seed's SeedSequence pool depend
+    # on the attempt, so an 801-attempt search derives each once.
+    calls = []
+
+    def counting_derive_params(*args):
+        calls.append(args)
+        return derive_params(*args)
+
+    monkeypatch.setattr(cli, "derive_params", counting_derive_params)
+    sampling._base_pool.cache_clear()
+    seen = []
+    run_construct_search(1, 11, None, 20261018, restarts=800, budget=10.0, progress=lambda idx, _: seen.append(idx))
+    assert seen == list(range(801))
+    assert len(calls) == 1
+    assert sampling._base_pool.cache_info().misses == 1
+
+
+def test_search_produces_jobs_lazily(monkeypatch):
+    # A million restarts as a list of jobs would be about 120 MB before the
+    # first attempt; produced lazily, a success at index 0 costs nothing.
+    monkeypatch.setattr(cli, "_attempt_summary", lambda job: (job[2], 3, True))
+    tracemalloc.start()
+    try:
+        _, ok, idx = run_construct_search(1, 2, None, 5, restarts=10**6, budget=10.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok and idx == 0
+    assert peak < 2**20
 
 
 def test_cli_verify_rejects_tampered_file(tmp_path):

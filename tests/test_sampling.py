@@ -21,6 +21,7 @@ from critgraph import sampling
 from critgraph.certify import verify_construction
 from critgraph.cli import main
 from critgraph.hypergraph import Hypergraph
+from critgraph.matching import find_perfect_matching
 from critgraph.sampling import (
     ConstructionParams,
     _sampled_ranks,
@@ -477,11 +478,43 @@ def test_top_sample_equals_top_of_coupled_family(shape, levels, seed):
     assert sample_hypergraph(n, s, max(levels), seed) == coupled_hypergraph_family(n, s, levels, seed)[-1]
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda s: st.tuples(st.just(s), st.lists(st.integers(1, 12 // s).map(lambda m: m * s), min_size=1, max_size=3))
+    ),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+    st.integers(1, 5),
+    st.integers(0, 2**64 - 1),
+)
+def test_sweep_levels_equal_coupled_family(shape, grid, samples, seed):
+    # The sweep draws a matching sample's thresholds from the stream of its
+    # top sample; the levels must be the ones the family draws afresh.
+    s, n_list = shape
+    nested_levels = sampling._nested_levels
+    built = []
+
+    def record(*args):
+        built.append(nested_levels(*args))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampling, "_nested_levels", record)
+        pm_threshold_sweep(s, n_list, grid, samples, seed)
+    expected = []
+    for n_idx, n in enumerate(n_list):
+        for sample_idx in range(samples):
+            family = coupled_hypergraph_family(n, s, sorted(grid), derive_seed(seed, n_idx, sample_idx))
+            if find_perfect_matching(family[-1]) is not None:
+                expected.append(family)
+    assert built == expected
+
+
 def _no_sampling(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("sampled before the input was checked")
 
-    for name in ("derive_seed", "sample_hypergraph", "coupled_hypergraph_family"):
+    for name in ("derive_seed", "_uniforms", "sample_hypergraph", "coupled_hypergraph_family"):
         monkeypatch.setattr(sampling, name, refuse)
 
 

@@ -23,8 +23,8 @@ from critgraph.sampling import derive_params, derive_seed, sample_fails_sparsity
 from critgraph.sparsity import check_sparsity, forced_violator_size
 
 
-def _full_summary(r, k, C, base_seed, idx, budget):
-    cert = _attempt_certificate(r, k, C, base_seed, idx, budget, stop_early=True)
+def _full_summary(params, base_seed, idx, budget):
+    cert = _attempt_certificate(params, base_seed, idx, budget, stop_early=True)
     return idx, cert.stages_passed(), cert.conclusions.robust_to_r
 
 
@@ -33,10 +33,11 @@ def _full_summary(r, k, C, base_seed, idx, budget):
     [(2, 40), (6, 40), (11, 25), (16, 10), (33, 3)],  # k = 2 samples at q = 1
 )
 def test_streaming_summary_equals_full_path(k, attempts):
+    params = derive_params(1, k)
     if k == 2:
-        assert derive_params(1, k).q == 1.0
+        assert params.q == 1.0
     for idx in range(attempts):
-        job = (1, k, None, 20261018, idx, 10.0)
+        job = (params, 20261018, idx, 10.0)
         assert _attempt_summary(job) == _full_summary(*job)
 
 
@@ -47,7 +48,7 @@ def test_streaming_falls_back_when_sparsity_passes():
     params = derive_params(1, 6, C)
     fallbacks = passed = 0
     for idx in range(40):
-        job = (1, 6, C, 7, idx, 10.0)
+        job = (params, 7, idx, 10.0)
         summary = _attempt_summary(job)
         assert summary == _full_summary(*job)
         if not sample_fails_sparsity(params.n, params.s, params.q, params.m, derive_seed(7, idx)):
