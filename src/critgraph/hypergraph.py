@@ -81,24 +81,30 @@ class Hypergraph:
         return tuple(inc)
 
     @cached_property
-    def edge_conflicts(self) -> tuple[int, ...]:
-        """Each edge as the edge bitset of the edges meeting it, itself
-        included: the OR of the incidence bitsets of its vertices."""
+    def disjoint_edges(self) -> tuple[int, ...]:
+        """Each edge as the edge bitset of the edges disjoint from it: every
+        edge but the OR of the incidence bitsets of its vertices, so itself
+        excluded."""
         inc = self.incidence
+        everything = (1 << len(self.edges)) - 1
         out = []
         for e in self.edges:
-            conflict = 0
+            meeting = 0
             for v in e:
-                conflict |= inc[v]
-            out.append(conflict)
+                meeting |= inc[v]
+            out.append(everything ^ meeting)
         return tuple(out)
 
-    def uniformity(self) -> int | None:
-        """Common edge size, or None if sizes differ or there are no edges."""
+    @cached_property
+    def _uniformity(self) -> int | None:
         sizes = {len(e) for e in self.edges}
         if len(sizes) == 1:
             return sizes.pop()
         return None
+
+    def uniformity(self) -> int | None:
+        """Common edge size, or None if sizes differ or there are no edges."""
+        return self._uniformity
 
     def is_uniform(self, s: int) -> bool:
         return all(len(e) == s for e in self.edges)

@@ -4,20 +4,21 @@ A perfect matching is an exact cover of the vertices by hyperedges, found
 with Knuth's Algorithm X and its minimum-column rule (D. E. Knuth, "Dancing
 Links", arXiv cs/0011047): branch on the lowest uncovered vertex with the
 fewest live edges, trying them in ascending index, and fail a state as
-soon as some uncovered vertex has none. Complete: it never misses an
-existing matching.
+soon as some uncovered vertex has none. The column scan stops at the first
+vertex with at most one live edge, which keeps the rule's first cover (see
+_cover_search). Complete: it never misses an existing matching.
 
 Instead of linked lists the search state is two bitsets, the uncovered
 vertices and the live edges (those lying inside the uncovered set). The
 index it works on is cached on the Hypergraph and built once however many
-searches run: per vertex, the bitset of incident edges, and per edge, its
-conflict bitset of every edge meeting it. A column size is then one AND
-and one bit count, choosing an edge clears its conflicts from the live
-set, and deleting a vertex starts from every edge minus its incidence
-bitset. Divisibility of the uncovered count by the uniformity is checked
-once up front and then preserved, since every step removes exactly one
-full edge. A wall-clock budget per search separates "no matching exists"
-from "gave up searching".
+searches run: per vertex, the bitset of incident edges, and per edge, the
+bitset of every edge disjoint from it. A column size is then one AND and
+one bit count, choosing an edge is one AND of the live set with its
+disjoint bitset, and deleting a vertex starts from every edge minus its
+incidence bitset. Divisibility of the uncovered count by the uniformity is
+checked once up front and then preserved, since every step removes exactly
+one full edge. A wall-clock budget per search separates "no matching
+exists" from "gave up searching".
 """
 
 from __future__ import annotations
@@ -72,23 +73,33 @@ def _cover_search(
     h: Hypergraph, uncovered: int, alive: int, deadline: float | None
 ) -> list[int] | None:
     """Indices of pairwise-disjoint edges of h whose union is exactly the
-    vertex bitset `uncovered`, or None. `alive` is the edge bitset of the
-    edges lying inside `uncovered`; the caller guarantees that the size of
-    `uncovered` is a multiple of the uniformity."""
+    vertex bitset `uncovered`, in no particular order, or None. `alive` is
+    the edge bitset of the edges lying inside `uncovered`; the caller
+    guarantees that the size of `uncovered` is a multiple of the
+    uniformity.
+
+    Each node branches on the lowest uncovered vertex with the fewest live
+    edges, except that the scan stops at the first vertex with at most one.
+    That keeps the first cover of the full rule. With no vertex of count 0,
+    the lowest vertex of count 1 is exactly the rule's choice. With a
+    vertex z of count 0 further on, the rule fails the node at once, while
+    this search branches on the single edge; that edge is live, so it does
+    not hold z, and z's live set only shrinks below it, so the subtree fails
+    too. Only subtrees without a cover change, so the depth-first order of
+    the covers, and hence the first one, is the same. The indices are
+    gathered on the way back up from the cover that was found."""
     masks = h.edge_masks
     incidence = h.incidence
-    conflicts = h.edge_conflicts
+    disjoint = h.disjoint_edges
+    monotonic = time.monotonic
     more_than_any = len(masks) + 1
-    chosen: list[int] = []
 
-    def recurse(uncovered: int, alive: int) -> bool:
-        if uncovered == 0:
-            return True
-        if deadline is not None and time.monotonic() > deadline:
+    def recurse(uncovered: int, alive: int) -> list[int] | None:
+        if not uncovered:
+            return []
+        if deadline is not None and monotonic() > deadline:
             raise SearchBudgetExceeded
-        # Branch on the lowest uncovered vertex with the fewest live edges.
         fewest = more_than_any
-        best = 0
         m = uncovered
         while m:
             bit = m & -m
@@ -96,21 +107,24 @@ def _cover_search(
             live = incidence[bit.bit_length() - 1] & alive
             count = live.bit_count()
             if count < fewest:
-                if not count:
-                    return False
+                if count < 2:
+                    if not count:
+                        return None
+                    best = live
+                    break
                 fewest = count
                 best = live
         while best:
             bit = best & -best
             best ^= bit
             i = bit.bit_length() - 1
-            chosen.append(i)
-            if recurse(uncovered ^ masks[i], alive & ~conflicts[i]):
-                return True
-            chosen.pop()
-        return False
+            picked = recurse(uncovered ^ masks[i], alive & disjoint[i])
+            if picked is not None:
+                picked.append(i)
+                return picked
+        return None
 
-    return chosen if recurse(uncovered, alive) else None
+    return recurse(uncovered, alive)
 
 
 def find_perfect_matching(h: Hypergraph, budget: float | None = 10.0) -> Matching | None:
@@ -145,7 +159,7 @@ def find_matching_avoiding(
     if s is None or (h.n - 1) % s != 0:
         return None
     target = ((1 << h.n) - 1) ^ (1 << v)
-    alive = ((1 << len(h.edges)) - 1) & ~h.incidence[v]
+    alive = ((1 << len(h.edges)) - 1) ^ h.incidence[v]
     deadline = None if budget is None else time.monotonic() + budget
     picked = _cover_search(h, target, alive, deadline)
     if picked is None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -344,6 +345,17 @@ def test_cli_construct_exit_codes(tmp_path):
     assert code == 2  # honest search failure at tiny scale
     assert out.exists()
     assert main(["verify", str(out)]) == 0
+
+
+def test_cli_construct_n61_golden_digest(tmp_path):
+    # Recorded before the matching search's early column stop: the 61
+    # deletion witnesses of the re-verified attempt keep their bytes.
+    out = tmp_path / "report.json"
+    argv = ["construct", "--r", "1", "--k", "16", "--seed", "3", "--restarts", "0", "--workers", "1"]
+    assert main(argv + ["--quiet", "--out", str(out)]) == 2
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "03e9a624a0b5a2c34bf02c9f55efeaa42d23c3cea7fb094f7af1ff6a73c8fa11"
+    )
 
 
 def test_cli_construct_usage_errors(tmp_path):

@@ -223,7 +223,7 @@ def test_components_partition(g):
 
 
 @given(hypergraphs(max_n=7), st.data())
-@settings(max_examples=100)
+@settings(max_examples=100, deadline=None)
 def test_components_against_networkx(h, data):
     # The mask components of the edges on an active vertex set are the
     # components of the 2-section induced on that set.

@@ -107,11 +107,51 @@ def test_dense_sample_witnesses_equal_reference_search():
         assert report.per_vertex[v].matching == reference_matching_avoiding(h, v, budget=None)
 
 
+def test_early_column_stop_keeps_reference_witness():
+    # The root branches on vertex 1. Below its first edge (0, 1), vertex 2
+    # has one live edge and vertex 5, scanned later, has none: the full
+    # rule fails that node at once, the early stop branches on (2, 3)
+    # first. Both then back up to (1, 5) and find the same cover.
+    edges = [(0, 1), (0, 2), (0, 4), (0, 5), (1, 5), (2, 3), (3, 4)]
+    h = Hypergraph(6, edges)
+    live = h.disjoint_edges[h.edges.index((0, 1))]
+    assert (h.incidence[2] & live).bit_count() == 1
+    assert not h.incidence[5] & live
+    got = find_perfect_matching(h, budget=None)
+    assert got == reference_perfect_matching(h, budget=None)
+    assert got.edges == ((0, 2), (1, 5), (3, 4))
+    # The same search as the deletion of an extra vertex 6.
+    h6 = Hypergraph(7, edges + [(0, 6), (5, 6)])
+    assert find_matching_avoiding(h6, 6, budget=None) == got
+    for v in range(h6.n):
+        assert find_matching_avoiding(h6, v, budget=None) == reference_matching_avoiding(h6, v, budget=None)
+
+
+def test_column_scan_passes_count_two_for_later_count_one():
+    # At the root vertex 1 has two live edges and vertex 3 only (2, 3):
+    # the rule branches on vertex 3. Stopping at vertex 1 would find
+    # ((0, 5), (1, 4), (2, 3)) first.
+    h = Hypergraph(6, [(0, 2), (0, 4), (0, 5), (1, 4), (1, 5), (2, 3)])
+    got = find_perfect_matching(h, budget=None)
+    assert got == reference_perfect_matching(h, budget=None)
+    assert got.edges == ((0, 4), (1, 5), (2, 3))
+
+
+def test_n61_sample_witnesses_equal_reference_search():
+    params = derive_params(1, 16)
+    h = sample_hypergraph(params.n, params.s, params.q, derive_seed(1, 0))
+    assert h.n == 61
+    for v in range(5):
+        got = find_matching_avoiding(h, v, budget=None)
+        assert got is not None
+        assert got == reference_matching_avoiding(h, v, budget=None)
+
+
 def test_search_index_leaves_value_semantics_alone(tmp_path):
     params = derive_params(1, 3)
     h = sample_hypergraph(params.n, params.s, params.q, 11)
     cert = verify_construction(h, params, seed=11)
-    assert {"incidence", "edge_conflicts"} <= set(vars(h))
+    assert {"incidence", "disjoint_edges", "_uniformity"} <= set(vars(h))
     fresh = Hypergraph(h.n, h.edges)
     assert h == fresh and hash(h) == hash(fresh)
     assert pickle.dumps(h) == pickle.dumps(fresh)
