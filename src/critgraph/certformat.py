@@ -100,7 +100,54 @@ def certificate_to_dict(cert: Certificate, search: dict | None = None) -> dict:
 
 
 def certificate_to_json(cert: Certificate, search: dict | None = None) -> str:
-    return json.dumps(certificate_to_dict(cert, search=search), indent=2) + "\n"
+    """The certificate's text: exactly
+    `json.dumps(certificate_to_dict(cert, search=search), indent=2) + "\\n"`."""
+    return _emit(certificate_to_dict(cert, search=search), 0) + "\n"
+
+
+# json.dumps with an indent runs the pure-Python encoder; a compact encoder
+# runs in C, so the layout below is built around it.
+_encode = json.JSONEncoder().encode
+_SCALARS = (str, int, float, bool, type(None))
+
+
+def _int_list_template(width: int, depth: int) -> str:
+    """The indent-2 layout of `width` integers at `depth`, as a % template."""
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + ",".join([pad + "%d"] * width) + "\n" + "  " * depth + "]"
+
+
+def _emit(value, depth: int) -> str:
+    """json.dumps(value, indent=2) for a value nested `depth` levels deep.
+
+    Dicts with str keys and nonempty lists are laid out here, an all-int
+    list or a list of equal-width int rows (graph edges, hyperedges,
+    matching witnesses) with one % pass; exact scalars go to the C encoder.
+    Anything else (tuples, non-str keys, empty containers, subclasses) is
+    left to json.dumps and re-indented: JSON text holds no raw newline
+    inside a string, so every newline in it is layout."""
+    kind = type(value)
+    if kind in _SCALARS:
+        return _encode(value)
+    if kind is list and value:
+        types = set(map(type, value))
+        if types == {int}:
+            return _int_list_template(len(value), depth) % tuple(value)
+        if types == {list}:
+            widths = set(map(len, value))
+            flat = tuple(chain.from_iterable(value))
+            # One width for all rows, and some int among them, so no row is empty.
+            if len(widths) == 1 and set(map(type, flat)) == {int}:
+                row = "\n" + "  " * (depth + 1) + _int_list_template(widths.pop(), depth + 1)
+                return ("[" + ",".join([row] * len(value)) + "\n" + "  " * depth + "]") % flat
+        pad = ",\n" + "  " * (depth + 1)
+        items = pad.join([_emit(item, depth + 1) for item in value])
+        return "[" + pad[1:] + items + "\n" + "  " * depth + "]"
+    if kind is dict and value and set(map(type, value)) == {str}:
+        pad = ",\n" + "  " * (depth + 1)
+        items = pad.join([_encode(key) + ": " + _emit(item, depth + 1) for key, item in value.items()])
+        return "{" + pad[1:] + items + "\n" + "  " * depth + "}"
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
 def write_certificate(cert: Certificate, path: str | Path, search: dict | None = None) -> None:
@@ -205,6 +252,8 @@ def certificate_from_dict(doc: dict) -> Certificate:
                 raise CertificateFormatError("per_vertex entries must be objects")
             where = "matchability.per_vertex[]"
             v = _read(entry, "vertex", _INT, where)
+            if v in per_vertex:  # a later entry must not silently replace an earlier one
+                raise CertificateFormatError(f"matchability.per_vertex repeats vertex {v}")
             status = _read(entry, "status", _STR, where)
             if status not in _NO_WITNESS:
                 raise CertificateFormatError(f"unknown matching status {status!r}")

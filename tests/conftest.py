@@ -12,9 +12,15 @@ from functools import lru_cache
 from itertools import combinations
 
 import hypothesis.strategies as st
-from hypothesis import assume
+from hypothesis import assume, settings
 
 from critgraph.hypergraph import Graph, Hypergraph
+
+# No per-example deadline for any property test: on a loaded machine a slow
+# example is load, not a regression, and the suite's timing checks are
+# explicit elapsed-time asserts.
+settings.register_profile("critgraph", deadline=None)
+settings.load_profile("critgraph")
 
 
 @st.composite

@@ -146,6 +146,20 @@ def test_bad_graph_rows_exit_1_without_traceback(tmp_path, capsys, row, message)
     assert err_text == f"parse error: {message}\n"
 
 
+def test_repeated_per_vertex_entry_is_refused(tmp_path, capsys):
+    # A timed-out copy of vertex 0 before the real entry: keeping either one
+    # silently would let a file claim two outcomes for one deletion.
+    doc = _frozen_doc()
+    doc["matchability"]["per_vertex"].insert(0, {"vertex": 0, "status": "timeout", "matching": None})
+    with pytest.raises(CertificateFormatError) as err:
+        certificate_from_dict(doc)
+    assert str(err.value) == "matchability.per_vertex repeats vertex 0"
+    path = tmp_path / "repeated-vertex.json"
+    path.write_text(json.dumps(doc, indent=2))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err == "parse error: matchability.per_vertex repeats vertex 0\n"
+
+
 def test_graph_vertex_count_is_checked_before_allocation(tmp_path, capsys):
     # A graph stores one mask per vertex, so a huge count is refused
     # before anything is built.
