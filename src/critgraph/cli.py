@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import secrets
 import sys
 from collections.abc import Iterator
@@ -86,9 +87,10 @@ def _attempt_certificate(
 
 def _attempt_results(jobs: Iterator[tuple], workers: int):
     """The attempt summaries of `jobs`, in index order: computed here for
-    one worker, else by a process pool one chunk at a time, so a success
-    stops the search within a chunk whatever the scheduling. Jobs are taken
-    from the iterator only as they are needed."""
+    one worker, else by a pool of at most os.cpu_count() processes, one
+    chunk at a time, so a success stops the search within a chunk whatever
+    the scheduling. Jobs are taken from the iterator only as needed."""
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         yield from map(_attempt_summary, jobs)
         return
@@ -248,18 +250,24 @@ _SUITES = {
         max_n=_pick(args.max_n, 5), max_edges=_pick(args.max_edges, 5)
     ),
     "edgebound": lambda args: two_section_bound_suite(
-        count=args.count, seed=_pick(args.seed, 0), max_n=_pick(args.max_n, 14)
+        count=_pick(args.count, 200), seed=_pick(args.seed, 0), max_n=_pick(args.max_n, 14)
     ),
     "sparsity-oracle": lambda args: sparsity_oracle_suite(
-        count=args.count, seed=_pick(args.seed, 1), max_n=_pick(args.max_n, 14)
+        count=_pick(args.count, 200), seed=_pick(args.seed, 1), max_n=_pick(args.max_n, 14)
     ),
     "matching-oracle": lambda args: matching_oracle_suite(
-        count_per_s=args.count, seed=_pick(args.seed, 2), max_n=_pick(args.max_n, 12)
+        count_per_s=_pick(args.count, 200), seed=_pick(args.seed, 2), max_n=_pick(args.max_n, 12)
     ),
 }
 
 
 def _cmd_lemma_check(args) -> int:
+    # Every suite reads --max-n; the exhaustive ones also read --max-edges,
+    # the randomized ones --count and --seed. A flag a suite ignores is refused.
+    for flag in ("count", "seed") if args.suite in ("obs1", "blocks") else ("max_edges",):
+        if getattr(args, flag) is not None:
+            print(f"error: --suite {args.suite} does not read --{flag.replace('_', '-')}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         report = _SUITES[args.suite](args)
     except CapExceeded as err:
@@ -280,18 +288,10 @@ def _cmd_lemma_check(args) -> int:
     return EXIT_OK
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.replace(",", " ").split()]
-
-
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
-
-
 def _cmd_sweep(args) -> int:
     try:
-        n_list = _parse_int_list(args.n)
-        p_grid = _parse_float_list(args.p)
+        n_list = [int(tok) for tok in args.n.replace(",", " ").split()]
+        p_grid = [float(tok) for tok in args.p.replace(",", " ").split()]
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--suite", required=True, choices=sorted(_SUITES))
     l.add_argument("--max-n", type=int, default=None)
     l.add_argument("--max-edges", type=int, default=None)
-    l.add_argument("--count", type=int, default=200, help="instances for randomized suites")
+    l.add_argument("--count", type=int, default=None, help="instances for randomized suites (200)")
     l.add_argument("--seed", type=_seed, default=None)
     l.set_defaults(func=_cmd_lemma_check)
 

@@ -216,6 +216,26 @@ def merge_component(comps: list[int], mask: int) -> list[int]:
     return rest
 
 
+def cycle_ranks(edge_masks) -> list[tuple[int, int]]:
+    """The intersection components of an edge set as (vertex mask, β)
+    pairs, in merge_component's order: β(C) = Σ_{e in C}(|e| - 1) - |C| + 1
+    is the cycle rank of C's vertex-edge incidence graph.
+
+    A connected F spans at least Σ_F(|e| - 1) vertices iff β(F) <= 1; for
+    s-edges, F breaks local sparsity ((s-1)|F| > |∪F|) iff β(F) >= 2. A
+    connected F inside a component C has β(F) <= β(C): F's incidence graph
+    is a connected subgraph of C's, so its cycle space is a subspace of
+    C's. Hence every connected F meets the span bound iff every component
+    has β <= 1, and then so does every F: the spans and the sums
+    Σ(|e| - 1) add up over parts with disjoint unions.
+    """
+    masks = list(edge_masks)
+    comps: list[int] = []
+    for mask in masks:
+        comps = merge_component(comps, mask)
+    return [(c, sum(m.bit_count() - 1 for m in masks if m & c) - c.bit_count() + 1) for c in comps]
+
+
 def mask_components(edge_masks, active: int) -> list[int]:
     """Connected components of the 2-section induced on the vertex mask
     `active`, as vertex masks ordered by smallest member: two active

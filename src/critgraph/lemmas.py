@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .certify import min_subset_edges
-from .hypergraph import Graph, Hypergraph, complement, mask_components, two_section
+from .hypergraph import Graph, Hypergraph, complement, cycle_ranks, mask_components, two_section
 from .sparsity import check_sparsity
 
 
@@ -56,23 +56,12 @@ class CutWitness:
     side_b: tuple[int, ...]
 
 
-def density_hypothesis_check(h: Hypergraph, cap_edges: int = 22) -> bool:
-    """Exhaustively test that every nonempty edge subset F spans at least
-    sum over F of (|e| - 1) vertices."""
-    if len(h.edges) > cap_edges:
-        raise CapExceeded(f"{len(h.edges)} edges exceeds brute-force cap {cap_edges}")
-    masks = h.edge_masks
-    sizes = [len(e) for e in h.edges]
-    for r in range(1, len(h.edges) + 1):
-        for idx in combinations(range(len(h.edges)), r):
-            union = 0
-            need = 0
-            for i in idx:
-                union |= masks[i]
-                need += sizes[i] - 1
-            if union.bit_count() < need:
-                return False
-    return True
+def density_hypothesis_check(h: Hypergraph) -> bool:
+    """Whether every nonempty edge subset F spans at least sum over F of
+    (|e| - 1) vertices: by hypergraph.cycle_ranks, exactly when every
+    intersection component has incidence cycle rank at most 1. No edge
+    subset is enumerated."""
+    return all(beta <= 1 for _, beta in cycle_ranks(h.edge_masks))
 
 
 def _validate_cut(g: Graph, witness: CutWitness, h: Hypergraph) -> None:

@@ -492,6 +492,8 @@ def pm_threshold_sweep(
         raise ValueError(f"need samples >= 1, got {samples}")
     if s < 2:
         raise ValueError(f"need s >= 2, got s={s}")
+    if not n_list or not p_grid:
+        raise ValueError("need at least one n and one p")
     for n in n_list:
         if n < s:
             raise ValueError(f"need n >= s={s}, got n={n}")
@@ -500,8 +502,6 @@ def pm_threshold_sweep(
     levels = sorted(p_grid)
     if any(not 0.0 <= p <= 1.0 for p in levels):
         raise ValueError("probability out of range")
-    if not levels:
-        return []
     out = []
     for n_idx, n in enumerate(n_list):
         successes = [0] * len(levels)

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
 
-from .hypergraph import Hypergraph, merge_component
+from .hypergraph import Hypergraph, cycle_ranks
 
 
 class EnumerationCapExceeded(Exception):
@@ -73,10 +72,7 @@ def violator_problems(h: Hypergraph, idx: list[int], s: int, m: int) -> list[str
         return ["violator repeats an edge index"]
     if excess(h, idx, s) > -1:
         return ["claimed violator does not violate the span bound"]
-    comps: list[int] = []
-    for i in idx:
-        comps = merge_component(comps, h.edge_masks[i])
-    if len(comps) > 1 or any(excess(h, [j for j in idx if j != i], s) <= -1 for i in idx):
+    if len(cycle_ranks(h.edge_masks[i] for i in idx)) > 1 or any(excess(h, [j for j in idx if j != i], s) <= -1 for i in idx):
         return ["violator is not inclusion-minimal"]
     return []
 
@@ -170,10 +166,8 @@ def _min_cardinality_violator(masks, limit: int, s: int) -> list[int] | None:
     """
     core = _incidence_core(masks)
     masks = [masks[i] for i in core]
-    # A connected F violates iff its incidence cycle rank (s-1)|F| - span + 1
-    # is >= 2, which nothing inside a core component of rank <= 1 reaches.
-    comps = reduce(merge_component, masks, [])
-    if all((s - 1) * sum(1 for e in masks if e & c) - c.bit_count() <= 0 for c in comps):
+    # No F inside a core component of cycle rank <= 1 violates.
+    if all(beta <= 1 for _, beta in cycle_ranks(masks)):
         return None
     limit = min(limit, len(masks))
     n_edges = len(masks)

@@ -4,7 +4,8 @@ return equal `SuiteReport` dicts. Also the per-instance helpers that only
 tests call: the labelled-hypergraph enumerator, the connected-bound check,
 the (s+1)-subset scan that `edge_bound_check` used before it shared
 `certify.min_subset_edges`, `find_small_cut` with the graph-search
-components it used before it worked on vertex masks, and the instance
+components it used before it worked on vertex masks, the exhaustive span
+check it used before `hypergraph.cycle_ranks`, and the instance
 constructor of the randomized suites before it unranked its draws."""
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ from itertools import combinations
 from critgraph.hypergraph import Graph, Hypergraph, two_section
 from critgraph.lemmas import (
     ENUMERATION_CAP,
+    CapExceeded,
     CounterexampleFound,
     CutWitness,
     HypothesisNotMet,
     _validate_cut,
     candidate_edges,
-    density_hypothesis_check,
     require_within_cap,
 )
 from critgraph.suites import SuiteReport, _distinct_below
@@ -62,6 +63,25 @@ def components_within(g: Graph, active) -> tuple[tuple[int, ...], ...]:
         seen |= comp
         out.append(tuple(sorted(comp)))
     return tuple(out)
+
+
+def density_hypothesis_check(h: Hypergraph, cap_edges: int = 22) -> bool:
+    """Exhaustively test that every nonempty edge subset F spans at least
+    sum over F of (|e| - 1) vertices."""
+    if len(h.edges) > cap_edges:
+        raise CapExceeded(f"{len(h.edges)} edges exceeds brute-force cap {cap_edges}")
+    masks = h.edge_masks
+    sizes = [len(e) for e in h.edges]
+    for r in range(1, len(h.edges) + 1):
+        for idx in combinations(range(len(h.edges)), r):
+            union = 0
+            need = 0
+            for i in idx:
+                union |= masks[i]
+                need += sizes[i] - 1
+            if union.bit_count() < need:
+                return False
+    return True
 
 
 def find_small_cut(h: Hypergraph) -> CutWitness:

@@ -8,21 +8,27 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 from critgraph import cli
-from critgraph.cli import run_construct_search
+from critgraph.cli import main, run_construct_search
+from critgraph.suites import SuiteReport
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
 REPORT = ROOT / "tests" / "data" / "best_attempt_r1_k6.json"
 
 
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+    return _load("perfbench_spans", SPANS)
 
 
 def _probes() -> tuple:
@@ -65,3 +71,20 @@ def test_cached_parser_calls_rebound_names(tmp_path, monkeypatch):
     argv = ["construct", "--r", "1", "--k", "2", "--seed", "1", "--restarts", "0", "--quiet"]
     assert cli.main([*argv, "--out", str(tmp_path / "c.json")]) == 2
     assert len(calls) == 1
+
+
+def test_validate_passes_only_flags_its_suites_read(monkeypatch, tmp_path, capsys):
+    # lemma-check refuses a flag the chosen suite does not read; the
+    # benchmark's suite commands must all be accepted. The suites are
+    # stubbed, so only the flags are checked.
+    monkeypatch.setitem(sys.modules, "spans", _spans())
+    run = _load("perfbench_run", ROOT / "perfbench" / "run.py")
+    ran = []
+    for attr in ("connected_bound_suite", "small_cut_suite", "two_section_bound_suite",
+                 "sparsity_oracle_suite", "matching_oracle_suite"):
+        monkeypatch.setattr(cli, attr, lambda attr=attr, **_: ran.append(attr) or SuiteReport(attr))
+    validate = run.Validate(run.WORKLOADS["validate"], 1, tmp_path)
+    commands = [argv for argv in validate.commands(0, tmp_path) if argv[0] == "lemma-check"]
+    assert [main(argv) for argv in commands] == [0] * 5
+    assert len(set(ran)) == 5
+    assert "does not read" not in capsys.readouterr().err

@@ -408,6 +408,36 @@ def test_parallel_matches_serial():
         assert [attempt for attempt, _ in seen] == list(range(idx + 1 if ok else 10))
 
 
+def test_construct_pool_is_at_most_the_cpu_count(tmp_path, monkeypatch):
+    # A fork pool starts all its processes at the first submit, so --workers
+    # is capped at the core count. No process is started here: the fake
+    # pool maps in this process.
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    argv = ["construct", "--r", "1", "--k", "3", "--C", "1.0", "--seed", "2", "--restarts", "9", "--quiet"]
+    many, one = tmp_path / "many.json", tmp_path / "one.json"
+    assert main([*argv, "--workers", "1000", "--out", str(many)]) == main([*argv, "--workers", "1", "--out", str(one)])
+    assert sizes and max(sizes) <= 2
+    assert many.read_bytes() == one.read_bytes()
+
+
 def test_search_derives_params_and_base_pool_once(monkeypatch):
     # Neither the parameters nor the base seed's SeedSequence pool depend
     # on the attempt, so an 801-attempt search derives each once.
@@ -499,6 +529,23 @@ def test_cli_lemma_check_refuses_vacuous_request(argv, message, capsys):
     assert "PASS" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["--suite", "edgebound", "--max-edges", "2"], "--max-edges"),
+     (["--suite", "sparsity-oracle", "--max-edges", "0"], "--max-edges"),
+     (["--suite", "matching-oracle", "--count", "3", "--max-edges", "1"], "--max-edges"),
+     (["--suite", "obs1", "--max-n", "3", "--seed", "5", "--count", "7"], "--count"),
+     (["--suite", "obs1", "--seed", "5"], "--seed"),
+     (["--suite", "blocks", "--count", "7"], "--count"),
+     (["--suite", "blocks", "--max-n", "4", "--seed", "0"], "--seed")],
+)
+def test_cli_lemma_check_refuses_flags_the_suite_ignores(argv, flag, capsys):
+    assert main(["lemma-check", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --suite {argv[1]} does not read {flag}\n"
+    assert captured.out == ""
+
+
 def test_cli_lemma_check_surfaces_internal_errors(monkeypatch):
     # Only a refused request is a usage error; a ValueError raised while
     # checking is a fault in the checker and must not read as one.
@@ -533,6 +580,14 @@ def test_cli_sweep_csv_deterministic(tmp_path):
 
 def test_cli_sweep_divisibility_error():
     assert main(["sweep", "--s", "3", "--n", "7", "--p", "0.1", "--samples", "5", "--seed", "1"]) == 1
+
+
+@pytest.mark.parametrize("n, p", [("", "0.1"), (",", "0.1"), ("6", "")])
+def test_cli_sweep_refuses_empty_grid(n, p, capsys):
+    assert main(["sweep", "--s", "3", "--n", n, "--p", p, "--samples", "2", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: need at least one n and one p\n"
+    assert captured.out == ""
 
 
 def test_sweep_csv_writer(tmp_path):

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from critgraph.hypergraph import Hypergraph, two_section
+from critgraph.hypergraph import Hypergraph, cycle_ranks, two_section
 from critgraph.lemmas import (
     CapExceeded,
     CounterexampleFound,
@@ -17,7 +17,7 @@ from critgraph.lemmas import (
 )
 
 import reference_suites
-from conftest import hypergraphs
+from conftest import berge_cycle, hypergraphs
 from graph_ops import components, delete_vertices
 from reference_suites import connected_bound_check, enumerate_hypergraphs
 
@@ -34,10 +34,45 @@ def test_density_hypothesis_examples():
     assert density_hypothesis_check(Hypergraph(5, [(0, 1, 2), (2, 3, 4)]))
     assert not density_hypothesis_check(Hypergraph(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)]))
     assert density_hypothesis_check(Hypergraph(3, []))
+
+
+@given(hypergraphs(max_edges=8))
+@settings(max_examples=400, deadline=None)
+def test_density_hypothesis_equals_brute_force(h):
+    assert density_hypothesis_check(h) == reference_suites.density_hypothesis_check(h)
+
+
+# Bicycles: two independent cycles in the incidence graph, so some edge
+# subset spans too few vertices.
+BICYCLES = {
+    "theta": Hypergraph(5, [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)]),
+    "theta of triples": Hypergraph(5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)]),
+    "dumbbell": Hypergraph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]),
+    "figure-eight": Hypergraph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]),
+}
+# One cycle each: every edge subset spans enough vertices.
+UNICYCLES = {
+    "Berge cycle": berge_cycle(3, 5),
+    "hypertree with one chord": Hypergraph(8, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (0, 6, 7)]),
+}
+
+
+@pytest.mark.parametrize("name", [*BICYCLES, *UNICYCLES])
+def test_cycle_rank_of_bicycles_and_unicycles(name):
+    h = {**BICYCLES, **UNICYCLES}[name]
+    beta = 2 if name in BICYCLES else 1
+    assert cycle_ranks(h.edge_masks) == [((1 << h.n) - 1, beta)]
+    assert density_hypothesis_check(h) == (beta == 1)
+    assert reference_suites.density_hypothesis_check(h) == (beta == 1)
+
+
+def test_find_small_cut_on_a_long_linear_hypertree():
+    # 40 edges: the exhaustive span check refused anything past 22.
+    h = Hypergraph(81, [(2 * i, 2 * i + 1, 2 * i + 2) for i in range(40)])
     with pytest.raises(CapExceeded):
-        density_hypothesis_check(
-            Hypergraph(10, list(combinations(range(10), 2))), cap_edges=20
-        )
+        reference_suites.density_hypothesis_check(h)
+    w = find_small_cut(h)  # validated against the 2-section inside
+    assert len(w.w) <= 2 and w.side_a and w.side_b
 
 
 def test_find_small_cut_examples():

@@ -531,11 +531,12 @@ def test_sweep_refuses_any_p_outside_unit_interval_before_sampling(grid, monkeyp
     assert capsys.readouterr().err == "error: probability out of range\n"
 
 
-def test_sweep_empty_grid_yields_no_rows(capsys):
-    assert pm_threshold_sweep(3, [6, 9], [], 5, seed=1) == []
-    assert reference_sweep(3, [6, 9], [], 5, seed=1) == []
-    assert main(["sweep", "--s", "3", "--n", "6", "--p", "", "--samples", "5", "--seed", "1"]) == 0
-    assert capsys.readouterr().out == "n,p,samples,successes,fraction\n"
+def test_sweep_refuses_empty_grid(monkeypatch):
+    # An empty table would read as a finished sweep with nothing in it.
+    _no_sampling(monkeypatch)
+    for n_list, grid in [([6, 9], []), ([], [0.1, 0.5]), ([], [])]:
+        with pytest.raises(ValueError, match="need at least one n and one p"):
+            pm_threshold_sweep(3, n_list, grid, 5, seed=1)
 
 
 @pytest.mark.parametrize(
