@@ -252,6 +252,9 @@ def _check_matchability(cert: Certificate, graph: Graph) -> list[str]:
     edge_set = set(h.edges)
     k = cert.params.k
     valid_matches = 0
+    for v in report.per_vertex:
+        if not 0 <= v < h.n:
+            reasons.append(f"matchability report has vertex {v} outside [0, {h.n})")
     for v in range(h.n):
         outcome = report.per_vertex.get(v)
         if outcome is None:
@@ -261,6 +264,8 @@ def _check_matchability(cert: Certificate, graph: Graph) -> list[str]:
             reasons.append(f"matching for vertex {v} is not a valid disjoint cover")
             continue
         if outcome.status != MATCHED:
+            if outcome.matching is not None:
+                reasons.append(f"vertex {v} marked {outcome.status} but carries a matching")
             continue
         m = outcome.matching
         if m is None:
@@ -299,6 +304,8 @@ def _check_sparsity_record(cert: Certificate) -> list[str]:
     if verdict.m != params.m or verdict.s != params.s:
         return ["sparsity verdict window does not match params"]
     if verdict.holds:
+        if verdict.violator is not None:
+            return ["sparsity claimed to hold but a violator is recorded"]
         if not check_sparsity(cert.hypergraph, params.m, params.s).holds:
             return ["sparsity claimed to hold but a violator exists"]
         return []

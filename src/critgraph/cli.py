@@ -141,6 +141,15 @@ def run_construct_search(
     return cert, False, best_idx
 
 
+def _no_out_directory(out: Path) -> bool:
+    """True, after printing the error, when out's parent is not a
+    directory: a command refuses before its work, not after it."""
+    if out.parent.is_dir():
+        return False
+    print(f"error: cannot write {out}: {out.parent} is not a directory", file=sys.stderr)
+    return True
+
+
 def _cmd_construct(args) -> int:
     if args.r < 1 or args.k < 2:
         print("error: need --r >= 1 and --k >= 2", file=sys.stderr)
@@ -153,8 +162,7 @@ def _cmd_construct(args) -> int:
     except (ValueError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    if not args.out.parent.is_dir():  # refuse before the search, not after it
-        print(f"error: cannot write {args.out}: {args.out.parent} is not a directory", file=sys.stderr)
+    if _no_out_directory(args.out):
         return EXIT_USAGE
     base_seed = args.seed if args.seed is not None else secrets.randbits(64)
     print(
@@ -297,6 +305,8 @@ def _cmd_sweep(args) -> int:
         return EXIT_USAGE
     if args.samples < 1:
         print("error: need --samples >= 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.out and _no_out_directory(args.out):
         return EXIT_USAGE
     seed = args.seed if args.seed is not None else secrets.randbits(64)
     try:

@@ -127,20 +127,29 @@ def _cover_search(
     return recurse(uncovered, alive)
 
 
-def find_perfect_matching(h: Hypergraph, budget: float | None = 10.0) -> Matching | None:
+def find_perfect_matching(
+    h: Hypergraph, budget: float | None = 10.0, edge_mask: int | None = None
+) -> Matching | None:
     """A perfect matching of h, or None if none exists. Raises
-    SearchBudgetExceeded after `budget` seconds of search."""
+    SearchBudgetExceeded after `budget` seconds of search.
+
+    With edge_mask, only the edges i with bit i set are searched, on h's
+    cached index. The sub-hypergraph of those edges keeps their order, so
+    every node sees the same live counts and tries the same edges in the
+    same order as a search of that sub-hypergraph would: the result is the
+    same matching, or None."""
     s = _uniformity_or_raise(h)
     if h.n == 0:
         return Matching(())
-    if not h.edges:
+    everything = (1 << len(h.edges)) - 1
+    alive = everything if edge_mask is None else everything & edge_mask
+    if not alive:
         return None
     assert s is not None
     if h.n % s != 0:
         return None
     deadline = None if budget is None else time.monotonic() + budget
-    everything = (1 << len(h.edges)) - 1
-    picked = _cover_search(h, (1 << h.n) - 1, everything, deadline)
+    picked = _cover_search(h, (1 << h.n) - 1, alive, deadline)
     if picked is None:
         return None
     return Matching(h.edges[i] for i in picked)

@@ -42,13 +42,13 @@ either way:
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, Matching
 from .sparsity import forced_violator_size
 
 #: Multiplier applied to the factorial threshold constant when the caller
@@ -445,24 +445,25 @@ def coupled_hypergraph_family(n: int, s: int, p_levels: list[float], seed: int) 
     p_max = max(p_levels)
     draws = _uniforms(seed)
     edges = tuple(_sampled_edges(n, s, p_max, draws))
-    return _nested_levels(n, edges, p_max, p_levels, draws)
+    return [
+        Hypergraph._from_canonical(n, tuple(e for i, e in enumerate(edges) if level >> i & 1))
+        for level in _level_masks(len(edges), p_max, p_levels, draws)
+    ]
 
 
-def _nested_levels(
-    n: int, edges: tuple[tuple[int, ...], ...], p_max: float, p_levels: list[float], draws: Iterator[float]
-) -> list[Hypergraph]:
-    """The coupled family's level at each p in p_levels, given the edges of
-    its top level p_max and the stream that drew them, positioned right
-    after the draw that ended the ranks.
+def _level_masks(count: int, p_max: float, p_levels: list[float], draws: Iterator[float]) -> list[int]:
+    """The coupled family's level at each p in p_levels, as an edge bitset
+    over its top level p_max: bit i is set iff edge i of the top level, in
+    rank order, has threshold at most p. The top level holds `count` edges
+    and was drawn from `draws`, positioned right after the draw that ended
+    the ranks.
 
     Conditioned on inclusion at level p_max, an edge's latent uniform is
     uniform on [0, p_max]; drawing it only for included edges matches the
     joint law of thresholding a full table of uniforms. The thresholds
     continue the stream, one per edge in rank order."""
-    thresholds = [p_max * next(draws) for _ in edges]
-    return [
-        Hypergraph._from_canonical(n, tuple(e for e, t in zip(edges, thresholds) if t <= p)) for p in p_levels
-    ]
+    thresholds = [p_max * next(draws) for _ in range(count)]
+    return [sum(1 << i for i, t in enumerate(thresholds) if t <= p) for p in p_levels]
 
 
 def pm_threshold_sweep(
@@ -481,10 +482,13 @@ def pm_threshold_sweep(
     drawn as the family's are. The levels are nested, so a sample with no
     perfect matching at p_max has none at any level and is done. Only for a
     sample that matches at p_max are the thresholds drawn, from the same
-    stream right after its ranks, to build the lower levels; a bisection
-    over them finds the first one that matches, in at most ceil(log2 L) more
-    searches, and a probe whose level holds every edge of a matching already
-    found needs no search.
+    stream right after its ranks, and each level becomes an edge bitset over
+    the top level (_level_masks). A bisection over them finds the first
+    level that matches, in at most ceil(log2 L) more searches. A probe whose
+    level holds every edge of a matching already found needs no search; any
+    other is a search of the top level restricted to the level's bitset, on
+    the top level's cached index, which returns the matching a search of
+    the level's own hypergraph would.
     """
     from .matching import find_perfect_matching
 
@@ -507,23 +511,29 @@ def pm_threshold_sweep(
         successes = [0] * len(levels)
         for sample_idx in range(samples):
             draws = _uniforms(derive_seed(seed, n_idx, sample_idx))
-            edges = tuple(_sampled_edges(n, s, levels[-1], draws))
-            witness = find_perfect_matching(Hypergraph._from_canonical(n, edges))
+            top = Hypergraph._from_canonical(n, tuple(_sampled_edges(n, s, levels[-1], draws)))
+            witness = find_perfect_matching(top)
             if witness is None:
                 continue
-            family = _nested_levels(n, edges, levels[-1], levels, draws)
+            family = _level_masks(len(top.edges), levels[-1], levels, draws)
+            held = _edge_bits(top, witness)
             lo, hi = 0, len(levels) - 1  # the first matching level is in [lo, hi]
             while lo < hi:
                 mid = (lo + hi) // 2
-                found = witness
-                if not set(family[mid].edges).issuperset(witness.edges):
-                    found = find_perfect_matching(family[mid])
-                if found is None:
-                    lo = mid + 1
-                else:
-                    hi, witness = mid, found
+                if held & ~family[mid]:
+                    found = find_perfect_matching(top, edge_mask=family[mid])
+                    if found is None:
+                        lo = mid + 1
+                        continue
+                    held = _edge_bits(top, found)
+                hi = mid
             for j in range(hi, len(levels)):
                 successes[j] += 1
         for p, won in zip(levels, successes):
             out.append(SweepPoint(n=n, p=p, samples=samples, successes=won))
     return out
+
+
+def _edge_bits(h: Hypergraph, m: Matching) -> int:
+    """The edge bitset of m's edges over h's edge list, which holds them."""
+    return sum(1 << bisect_left(h.edges, e) for e in m.edges)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import combinations
 
 from .hypergraph import Hypergraph, cycle_ranks, merge_component
@@ -73,12 +72,15 @@ def connected_bound_suite(
     One depth-first walk per n over increasing candidate-index sets that
     carries the union, the intersection components and the slack
     1 + sum(|e| - 1). At each set, the one-edge extensions that are
-    connected and cover every vertex are counted in bulk with bitsets, per
-    edge-size class; only sets with room for two more edges are walked
-    into, and the bitsets for a vertex set are built when the walk first
-    asks for it, so the work stays within the sets the cap counts. Raises
-    CapExceeded before enumerating anything when the whole request is past
-    the cap, and RequestRefused for a negative cap.
+    connected and cover every vertex are counted in bulk with bitsets; the
+    edge-size classes are consulted only where an extension could break
+    the bound. The walk visits the children of a set with room for three
+    or more edges; a set with room for exactly two counts its children's
+    closing edges in one loop, without visiting them. The bitsets for a
+    vertex set are built when the walk first asks for it, so the work
+    stays within the sets the cap counts. Raises CapExceeded before
+    enumerating anything when the whole request is past the cap, and
+    RequestRefused for a negative cap.
     """
     sizes = sizes or {2, 3, 4}
     _at_least("max_n", max_n, 1)
@@ -102,6 +104,18 @@ def _bitset(indices: list[int], width: int) -> int:
     return int(digits or b"0", 2)
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with fill(key) on its first lookup."""
+
+    def __init__(self, fill) -> None:
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 def _connected_bound_walk(n: int, max_edges: int, sizes: set[int], report: SuiteReport) -> None:
     """Add to `report` every connected nonempty edge set on n vertices
     with at most max_edges candidate edges."""
@@ -123,53 +137,87 @@ def _connected_bound_walk(n: int, max_edges: int, sizes: set[int], report: Suite
     # use, so the work stays within the visited sets, not 2^n.
     inc = [_bitset(js, width) for js in holders]
 
-    @cache
-    def containing(vs: int) -> int:
+    def all_of(vs: int) -> int:
         out = every
         for v in range(n):
             if vs >> v & 1:
                 out &= inc[v]
         return out
 
-    @cache
-    def meeting(vs: int) -> int:
+    def any_of(vs: int) -> int:
         out = 0
         for v in range(n):
             if vs >> v & 1:
                 out |= inc[v]
         return out
 
+    containing = _Memo(all_of)  # vertex set -> the candidates holding all of it
+    meeting = _Memo(any_of)  # vertex set -> the candidates holding some of it
     full = (1 << n) - 1
     chosen: list[int] = []
     found: list[tuple[list[int], dict]] = []
+    checked = 0
+    # A closing edge of size k gives a set with bound slack + k - 1, which
+    # only k <= n - slack can break: none when n - slack < smallest.
+    smallest = classes[0][0] if classes else n + 1
+
+    def record(closing: int, slack: int, picked: list[int]) -> None:
+        for k, cls in classes:
+            if k > n - slack:
+                break
+            hit = closing & cls
+            while hit:
+                j = (hit & -hit).bit_length() - 1
+                hit &= hit - 1
+                edges = [list(cands[i]) for i in picked] + [list(cands[j])]
+                found.append((picked + [j], {"n": n, "edges": edges, "bound": slack + k - 1}))
 
     def visit(children: int, union: int, comps: list[int], slack: int) -> None:
+        nonlocal checked
         # A child stays connected iff its edge meets every component, and
         # covers V iff its edge holds every vertex the set leaves out.
-        closing = children & containing(full ^ union)
+        closing = children & containing[full ^ union]
         for c in comps:
-            closing &= meeting(c)
-        for k, cls in classes:
-            hit = closing & cls
-            if not hit:
-                continue
-            report.checked += hit.bit_count()
-            bound = slack + k - 1
-            if n > bound:
-                while hit:
-                    j = (hit & -hit).bit_length() - 1
-                    hit &= hit - 1
-                    edges = [list(cands[i]) for i in chosen] + [list(cands[j])]
-                    found.append((chosen + [j], {"n": n, "edges": edges, "bound": bound}))
-        if len(chosen) + 2 > max_edges:
+            closing &= meeting[c]
+        checked += closing.bit_count()
+        if n - slack >= smallest:
+            record(closing, slack, chosen)
+        room = max_edges - len(chosen)
+        if room < 2:
             return
-        for j in range(chosen[-1] + 1 if chosen else 0, len(cands)):
-            chosen.append(j)
-            above = every ^ ((2 << j) - 1)
-            visit(above, union | masks[j], merge_component(comps, masks[j]), slack + len(cands[j]) - 1)
-            chosen.pop()
+        start = chosen[-1] + 1 if chosen else 0
+        if room > 2:
+            for j in range(start, width):
+                chosen.append(j)
+                above = every ^ ((2 << j) - 1)
+                visit(above, union | masks[j], merge_component(comps, masks[j]), slack + len(cands[j]) - 1)
+                chosen.pop()
+            return
+        # Room for exactly two more edges: each child's closing edges are
+        # counted here, without visiting it. Its components are the ones
+        # its edge misses plus the one its edge merges.
+        met = [(c, meeting[c]) for c in comps]
+        above = every ^ ((1 << start) - 1)
+        for j in range(start, width):
+            above ^= 1 << j
+            mask = masks[j]
+            closing = above & containing[full ^ (union | mask)]
+            if not closing:
+                continue
+            merged = mask
+            for c, m in met:
+                if c & mask:
+                    merged |= c
+                else:
+                    closing &= m
+            closing &= meeting[merged]
+            checked += closing.bit_count()
+            grown = slack + len(cands[j]) - 1
+            if n - grown >= smallest:
+                record(closing, grown, chosen + [j])
 
     visit(every, 0, [], 1)
+    report.checked += checked
     report.counterexamples += _in_enumeration_order(found)
 
 

@@ -25,7 +25,7 @@ from critgraph.certformat import (
 from critgraph import cli, sampling, suites
 from critgraph.certify import check_certificate, verify_construction
 from critgraph.cli import main, run_construct_search
-from critgraph.hypergraph import complement, two_section
+from critgraph.hypergraph import Hypergraph, complement, two_section
 from critgraph.sampling import SweepPoint, derive_params, sample_hypergraph
 
 from conftest import hypergraphs
@@ -317,6 +317,50 @@ def test_forged_violator_is_rejected(tmp_path, field, value, reason):
     path = tmp_path / "forged.json"
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path)]) != 0
+
+
+@functools.cache
+def _hypertree_report() -> str:
+    """An honest non-certificate at n = 61: a linear 4-uniform hypertree,
+    so sparsity holds with no violator and no deletion has a matching."""
+    params = derive_params(1, 16)
+    s = params.s
+    edges = [tuple(range(s))]
+    for i in range(1, (params.n - 1) // (s - 1)):
+        covered = s + (i - 1) * (s - 1)
+        edges.append((i % s, *range(covered, covered + s - 1)))
+    return certificate_to_json(verify_construction(Hypergraph(params.n, edges), params))
+
+
+def _verify_doc(doc: dict, tmp_path: Path, capsys) -> tuple[int, str]:
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", str(path)])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("vertex", [999, -5, 70])
+def test_per_vertex_entry_outside_the_vertex_range_is_refused(vertex, tmp_path, capsys):
+    doc = json.loads(_hypertree_report())
+    doc["matchability"]["per_vertex"].append({"vertex": vertex, "status": "unmatchable", "matching": None})
+    reason = f"matchability report has vertex {vertex} outside [0, 61)"
+    assert _verify_doc(doc, tmp_path, capsys) == (1, f"certificate INVALID:\n  - {reason}\n")
+
+
+def test_unmatched_entry_with_a_witness_is_refused(tmp_path, capsys):
+    doc = json.loads(_hypertree_report())
+    entry = doc["matchability"]["per_vertex"][5]
+    assert (entry["vertex"], entry["status"]) == (5, "unmatchable")
+    entry["matching"] = [[0, 1, 2, 3]]
+    reason = "vertex 5 marked unmatchable but carries a matching"
+    assert _verify_doc(doc, tmp_path, capsys) == (1, f"certificate INVALID:\n  - {reason}\n")
+
+
+def test_holding_sparsity_with_a_violator_is_refused(tmp_path, capsys):
+    doc = json.loads(_hypertree_report())
+    doc["sparsity"]["violator"] = {"edge_indices": [0, 1], "spanned": 7}
+    reason = "sparsity claimed to hold but a violator is recorded"
+    assert _verify_doc(doc, tmp_path, capsys) == (1, f"certificate INVALID:\n  - {reason}\n")
 
 
 def test_unreadable_files_are_parse_errors(tmp_path):
@@ -671,7 +715,7 @@ def test_unwritable_out_is_an_error_not_a_traceback(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: cannot write {target}: Is a directory\n"
     out = tmp_path / "missing" / "sweep.csv"
     assert main(["sweep", "--s", "3", "--n", "6", "--p", "0.5", "--samples", "2", "--seed", "1", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+    assert capsys.readouterr().err == f"error: cannot write {out}: {out.parent} is not a directory\n"
     code, stdout, stderr = _fresh_process(["sweep", "--s", "3", "--n", "6", "--p", "0.5", "--samples", "2", "--out", str(out)])
     assert (code, stdout) == (1, "")
     assert stderr.startswith("error: cannot write ") and "Traceback" not in stderr

@@ -98,6 +98,32 @@ def test_witnesses_equal_reference_search(h):
         assert got == reference_matching_avoiding(h, v, budget=None)
 
 
+@given(
+    st.sampled_from([2, 3, 4]).flatmap(lambda s: uniform_hypergraphs(s=s, max_n=12, max_edges=16)),
+    st.one_of(st.integers(0, 2**16 - 1), st.just(2**16 - 1)),
+)
+@settings(max_examples=300, deadline=None)
+def test_masked_search_equals_search_of_sub_hypergraph(h, edge_mask):
+    # The sweep's probes search a level as an edge mask over the top
+    # sample: the same nodes in the same index order as a search of the
+    # level's own hypergraph, so the same witness, or None.
+    sub = Hypergraph(h.n, [e for i, e in enumerate(h.edges) if edge_mask >> i & 1])
+    got = find_perfect_matching(h, budget=None, edge_mask=edge_mask)
+    assert got == find_perfect_matching(sub, budget=None)
+    assert got == reference_perfect_matching(sub, budget=None)
+
+
+def test_masked_search_skips_masked_out_witness():
+    h = Hypergraph(6, combinations(range(6), 3))
+    first = find_perfect_matching(h, budget=None)
+    assert first.edges == ((0, 1, 2), (3, 4, 5))
+    without = ((1 << len(h.edges)) - 1) ^ (1 << h.edges.index((0, 1, 2)))
+    got = find_perfect_matching(h, budget=None, edge_mask=without)
+    sub = Hypergraph(6, [e for e in h.edges if e != (0, 1, 2)])
+    assert got == find_perfect_matching(sub, budget=None) == Matching([(0, 1, 3), (2, 4, 5)])
+    assert find_perfect_matching(h, budget=None, edge_mask=0) is None
+
+
 def test_dense_sample_witnesses_equal_reference_search():
     params = derive_params(1, 11)
     h = sample_hypergraph(params.n, params.s, params.q, derive_seed(41, 0))

@@ -489,17 +489,19 @@ def test_top_sample_equals_top_of_coupled_family(shape, levels, seed):
 )
 def test_sweep_levels_equal_coupled_family(shape, grid, samples, seed):
     # The sweep draws a matching sample's thresholds from the stream of its
-    # top sample; the levels must be the ones the family draws afresh.
+    # top sample and keeps each level as an edge bitset over the top
+    # sample's edges; each level's edge set must be the one the family
+    # draws afresh.
     s, n_list = shape
-    nested_levels = sampling._nested_levels
+    level_masks = sampling._level_masks
     built = []
 
     def record(*args):
-        built.append(nested_levels(*args))
+        built.append(level_masks(*args))
         return built[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sampling, "_nested_levels", record)
+        mp.setattr(sampling, "_level_masks", record)
         pm_threshold_sweep(s, n_list, grid, samples, seed)
     expected = []
     for n_idx, n in enumerate(n_list):
@@ -507,7 +509,12 @@ def test_sweep_levels_equal_coupled_family(shape, grid, samples, seed):
             family = coupled_hypergraph_family(n, s, sorted(grid), derive_seed(seed, n_idx, sample_idx))
             if find_perfect_matching(family[-1]) is not None:
                 expected.append(family)
-    assert built == expected
+    assert len(built) == len(expected)
+    for masks, family in zip(built, expected):
+        top = family[-1].edges  # the top level holds every edge
+        assert [tuple(e for i, e in enumerate(top) if mask >> i & 1) for mask in masks] == [
+            level.edges for level in family
+        ]
 
 
 def _no_sampling(monkeypatch):
@@ -516,6 +523,19 @@ def _no_sampling(monkeypatch):
 
     for name in ("derive_seed", "_uniforms", "sample_hypergraph", "coupled_hypergraph_family"):
         monkeypatch.setattr(sampling, name, refuse)
+
+
+@pytest.mark.parametrize("parent", ["missing", "file"])
+def test_cli_sweep_refuses_out_without_directory_before_sampling(parent, tmp_path, monkeypatch, capsys):
+    # As construct does: refused at once, not after the whole sweep.
+    _no_sampling(monkeypatch)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / parent / "x.csv"
+    argv = ["sweep", "--s", "3", "--n", "24", "--p", "0.01,0.02", "--samples", "2000", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: {out.parent} is not a directory\n"
 
 
 @pytest.mark.parametrize(
@@ -568,8 +588,8 @@ def test_sweep_searches_each_sample_once_unless_it_matches(monkeypatch):
     real = matching.find_perfect_matching
     calls: list[bool] = []
 
-    def counted(h, budget=None):
-        found = real(h, budget=budget)
+    def counted(h, budget=None, edge_mask=None):
+        found = real(h, budget=budget, edge_mask=edge_mask)
         calls.append(found is not None)
         return found
 

@@ -86,6 +86,19 @@ def test_every_size_set_equals_reference(sizes):
     )
 
 
+@pytest.mark.parametrize("max_edges", [1, 2, 3])
+@pytest.mark.parametrize("sizes", SIZE_SETS, ids=lambda s: "".join(map(str, sorted(s))))
+def test_obs1_in_place_level_equals_reference(sizes, max_edges):
+    # The walk counts the children of a set with room for exactly two more
+    # edges in one loop: never at max_edges 1, at the root's children at 2,
+    # at the children of every one-edge set at 3. Every n up to 6.
+    for max_n in range(1, 7):
+        assert (
+            suites.connected_bound_suite(max_n, max_edges, set(sizes)).to_dict()
+            == reference_suites.connected_bound_suite(max_n, max_edges, set(sizes)).to_dict()
+        )
+
+
 def test_blocks_counterexamples_in_reference_order(monkeypatch):
     def planted(h):
         witness = find_small_cut(h)  # HypothesisNotMet passes through
