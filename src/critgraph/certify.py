@@ -17,8 +17,9 @@ by pure arithmetic:
                          spans an edge.
 
 check_certificate re-derives everything from the stored witnesses without
-re-running the search, except the sparsity condition, whose positive
-verdict is universal and is re-checked in full.
+re-running the matching search. The universal claims no witness can carry
+are re-checked in full: a positive sparsity verdict, and an exact nonzero
+(s+1)-subset minimum.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .hypergraph import Graph, Hypergraph, complement, two_section
 from .matching import (
     CORRUPT,
     MATCHED,
+    MATCHING_BUDGET,
     MatchabilityReport,
     all_deletions_matchable,
     matching_to_coloring,
@@ -156,7 +158,7 @@ def verify_construction(
     h: Hypergraph,
     params: ConstructionParams,
     seed: int = 0,
-    matching_budget: float | None = 10.0,
+    matching_budget: int | None = MATCHING_BUDGET,
     stop_early: bool = False,
 ) -> Certificate:
     """Run the verification pipeline on a sampled hypergraph and assemble
@@ -201,14 +203,15 @@ def verify_construction(
 def check_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     """Re-derive a certificate's conclusions from its stored witnesses.
 
-    Everything is recomputed except searches: the graph is rebuilt from
-    the hypergraph, matching witnesses and their colorings are re-validated
-    edge by edge, violators are re-validated including inclusion-minimality,
-    the subset witness is recounted, and a positive sparsity verdict (a
-    universal claim no witness can carry) is re-checked in full. Returns
-    (ok, reasons); honest failed-search certificates check out as ok. A
-    hypergraph with the wrong vertex count or uniformity is reported before
-    any graph is rebuilt, without the checks that follow.
+    Everything is recomputed except the matching searches: the graph is
+    rebuilt from the hypergraph, matching witnesses and their colorings are
+    re-validated edge by edge, violators are re-validated including
+    inclusion-minimality, the subset witness is recounted, and the claims
+    no witness can carry are re-checked in full: a positive sparsity
+    verdict, and an exact subset minimum above 0, by the subset scan.
+    Returns (ok, reasons); honest failed-search certificates check out as
+    ok. A hypergraph with the wrong vertex count or uniformity is reported
+    before any graph is rebuilt, without the checks that follow.
     """
     reasons: list[str] = []
     params = cert.params
@@ -340,6 +343,14 @@ def _check_subset_record(cert: Certificate, graph: Graph) -> list[str]:
         reasons.append(
             f"subset witness induces {recount} edges, certificate says {record.count}"
         )
+    elif record.exact and record.count >= 1:
+        # A claimed minimum of 0 needs no search; any other is re-derived,
+        # stopping at the first subset below it.
+        count, smaller = min_subset_edges(graph, t, early_exit_at=record.count - 1)
+        if count < record.count:
+            reasons.append(
+                f"subset {list(smaller)} induces {count} edges, below the claimed minimum {record.count}"
+            )
     return reasons
 
 

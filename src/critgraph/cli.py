@@ -3,7 +3,7 @@ verify (re-check a certificate file), lemma-check (validation suites), and
 sweep (empirical matching-threshold table).
 
 Exit codes: 0 success, 1 usage or parse error, 2 honest search failure,
-3 enumeration cap exceeded.
+3 enumeration cap or sweep search budget exceeded.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .certformat import (
 )
 from .certify import Certificate, check_certificate, verify_construction
 from .lemmas import CapExceeded, RequestRefused
+from .matching import MATCHING_BUDGET, SearchBudgetExceeded
 from .sampling import (
     ConstructionParams,
     derive_params,
@@ -63,7 +64,7 @@ def _seed(text: str) -> int:
     return value
 
 
-def _attempt_summary(args: tuple[ConstructionParams, int, int, float]) -> tuple[int, int, bool]:
+def _attempt_summary(args: tuple[ConstructionParams, int, int, int]) -> tuple[int, int, bool]:
     """(attempt index, stages passed, fully robust) for one restart; pure
     in its arguments, so parallel fan-out is deterministic. A sample that
     fails sparsity while its edges stream in scores 0 at once, as the full
@@ -76,7 +77,7 @@ def _attempt_summary(args: tuple[ConstructionParams, int, int, float]) -> tuple[
 
 
 def _attempt_certificate(
-    params: ConstructionParams, base_seed: int, idx: int, budget: float, stop_early: bool
+    params: ConstructionParams, base_seed: int, idx: int, budget: int, stop_early: bool
 ) -> Certificate:
     child_seed = derive_seed(base_seed, idx)
     h = sample_hypergraph(params.n, params.s, params.q, child_seed)
@@ -108,7 +109,7 @@ def run_construct_search(
     C: float | None,
     base_seed: int,
     restarts: int,
-    budget: float,
+    budget: int,
     workers: int = 1,
     progress=None,
 ) -> tuple[Certificate, bool, int]:
@@ -154,7 +155,7 @@ def _cmd_construct(args) -> int:
     if args.r < 1 or args.k < 2:
         print("error: need --r >= 1 and --k >= 2", file=sys.stderr)
         return EXIT_USAGE
-    if args.restarts < 0 or args.workers < 1 or not args.matching_budget > 0:  # NaN too
+    if args.restarts < 0 or args.workers < 1 or args.matching_budget < 1:
         print("error: budgets and worker count must be positive", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -314,6 +315,9 @@ def _cmd_sweep(args) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except SearchBudgetExceeded as err:
+        print(f"cap exceeded: {err}", file=sys.stderr)
+        return EXIT_CAP
     if args.out:
         try:
             write_sweep_csv(points, args.out)
@@ -342,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=_seed, default=None, help="base seed (random if omitted)")
     c.add_argument("--restarts", type=int, default=100, help="additional attempts after the first")
     c.add_argument("--workers", type=int, default=1)
-    c.add_argument("--matching-budget", type=float, default=10.0, help="seconds per matching call")
+    c.add_argument("--matching-budget", type=int, default=MATCHING_BUDGET, help="search nodes per matching call")
     c.add_argument("--out", type=Path, default=Path("certificate.json"))
     c.add_argument("--quiet", action="store_true")
     c.set_defaults(func=_cmd_construct)

@@ -17,22 +17,25 @@ one bit count, choosing an edge is one AND of the live set with its
 disjoint bitset, and deleting a vertex starts from every edge minus its
 incidence bitset. Divisibility of the uncovered count by the uniformity is
 checked once up front and then preserved, since every step removes exactly
-one full edge. A wall-clock budget per search separates "no matching
-exists" from "gave up searching".
+one full edge. A budget of search nodes per search separates "no matching
+exists" from "gave up searching", and gives the same verdict on any machine.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .hypergraph import Hypergraph, Matching
 
 
 class SearchBudgetExceeded(Exception):
-    """Raised when the matching search hits its time budget; distinct from
-    a definite refutation."""
+    """Raised when the matching search spends its node budget; distinct
+    from a definite refutation."""
 
+
+# Search nodes per matching call, over 10x the largest search of the tests,
+# the goldens and the benchmark workloads (see README).
+MATCHING_BUDGET = 1_000_000
 
 MATCHED = "matched"
 UNMATCHABLE = "unmatchable"
@@ -70,13 +73,14 @@ def _uniformity_or_raise(h: Hypergraph) -> int | None:
 
 
 def _cover_search(
-    h: Hypergraph, uncovered: int, alive: int, deadline: float | None
-) -> list[int] | None:
-    """Indices of pairwise-disjoint edges of h whose union is exactly the
-    vertex bitset `uncovered`, in no particular order, or None. `alive` is
-    the edge bitset of the edges lying inside `uncovered`; the caller
-    guarantees that the size of `uncovered` is a multiple of the
-    uniformity.
+    h: Hypergraph, uncovered: int, alive: int, budget: int | None
+) -> Matching | None:
+    """Pairwise-disjoint edges of h whose union is exactly the vertex
+    bitset `uncovered`, or None. `alive` is the edge bitset of the edges
+    lying inside `uncovered`; the caller guarantees that the size of
+    `uncovered` is a multiple of the uniformity. Raises
+    SearchBudgetExceeded once `budget` nodes (calls with vertices left to
+    cover) are spent; None means no budget.
 
     Each node branches on the lowest uncovered vertex with the fewest live
     edges, except that the scan stops at the first vertex with at most one.
@@ -91,14 +95,16 @@ def _cover_search(
     masks = h.edge_masks
     incidence = h.incidence
     disjoint = h.disjoint_edges
-    monotonic = time.monotonic
     more_than_any = len(masks) + 1
+    left = float("inf") if budget is None else budget
 
     def recurse(uncovered: int, alive: int) -> list[int] | None:
+        nonlocal left
         if not uncovered:
             return []
-        if deadline is not None and monotonic() > deadline:
+        if left <= 0:
             raise SearchBudgetExceeded
+        left -= 1
         fewest = more_than_any
         m = uncovered
         while m:
@@ -124,14 +130,18 @@ def _cover_search(
                 return picked
         return None
 
-    return recurse(uncovered, alive)
+    picked = recurse(uncovered, alive)
+    # recurse refers to itself through its closure: unbinding it lets h's
+    # index go with h rather than at the next cycle collection.
+    del recurse
+    return None if picked is None else Matching(h.edges[i] for i in picked)
 
 
 def find_perfect_matching(
-    h: Hypergraph, budget: float | None = 10.0, edge_mask: int | None = None
+    h: Hypergraph, budget: int | None = MATCHING_BUDGET, edge_mask: int | None = None
 ) -> Matching | None:
     """A perfect matching of h, or None if none exists. Raises
-    SearchBudgetExceeded after `budget` seconds of search.
+    SearchBudgetExceeded once `budget` search nodes are spent.
 
     With edge_mask, only the edges i with bit i set are searched, on h's
     cached index. The sub-hypergraph of those edges keeps their order, so
@@ -143,20 +153,13 @@ def find_perfect_matching(
         return Matching(())
     everything = (1 << len(h.edges)) - 1
     alive = everything if edge_mask is None else everything & edge_mask
-    if not alive:
+    if s is None or h.n % s != 0:
         return None
-    assert s is not None
-    if h.n % s != 0:
-        return None
-    deadline = None if budget is None else time.monotonic() + budget
-    picked = _cover_search(h, (1 << h.n) - 1, alive, deadline)
-    if picked is None:
-        return None
-    return Matching(h.edges[i] for i in picked)
+    return _cover_search(h, (1 << h.n) - 1, alive, budget)
 
 
 def find_matching_avoiding(
-    h: Hypergraph, v: int, budget: float | None = 10.0
+    h: Hypergraph, v: int, budget: int | None = MATCHING_BUDGET
 ) -> Matching | None:
     """A perfect matching of the deletion of vertex v, expressed in the
     original vertex ids."""
@@ -169,16 +172,12 @@ def find_matching_avoiding(
         return None
     target = ((1 << h.n) - 1) ^ (1 << v)
     alive = ((1 << len(h.edges)) - 1) ^ h.incidence[v]
-    deadline = None if budget is None else time.monotonic() + budget
-    picked = _cover_search(h, target, alive, deadline)
-    if picked is None:
-        return None
-    return Matching(h.edges[i] for i in picked)
+    return _cover_search(h, target, alive, budget)
 
 
 def all_deletions_matchable(
     h: Hypergraph,
-    budget: float | None = 10.0,
+    budget: int | None = MATCHING_BUDGET,
     stop_early: bool = False,
     s: int | None = None,
 ) -> MatchabilityReport:

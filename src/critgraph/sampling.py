@@ -488,9 +488,10 @@ def pm_threshold_sweep(
     level holds every edge of a matching already found needs no search; any
     other is a search of the top level restricted to the level's bitset, on
     the top level's cached index, which returns the matching a search of
-    the level's own hypergraph would.
+    the level's own hypergraph would. A search that spends its node budget
+    raises SearchBudgetExceeded naming its sample and n.
     """
-    from .matching import find_perfect_matching
+    from .matching import MATCHING_BUDGET, SearchBudgetExceeded, find_perfect_matching
 
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
@@ -507,30 +508,35 @@ def pm_threshold_sweep(
     if any(not 0.0 <= p <= 1.0 for p in levels):
         raise ValueError("probability out of range")
     out = []
-    for n_idx, n in enumerate(n_list):
-        successes = [0] * len(levels)
-        for sample_idx in range(samples):
-            draws = _uniforms(derive_seed(seed, n_idx, sample_idx))
-            top = Hypergraph._from_canonical(n, tuple(_sampled_edges(n, s, levels[-1], draws)))
-            witness = find_perfect_matching(top)
-            if witness is None:
-                continue
-            family = _level_masks(len(top.edges), levels[-1], levels, draws)
-            held = _edge_bits(top, witness)
-            lo, hi = 0, len(levels) - 1  # the first matching level is in [lo, hi]
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if held & ~family[mid]:
-                    found = find_perfect_matching(top, edge_mask=family[mid])
-                    if found is None:
-                        lo = mid + 1
-                        continue
-                    held = _edge_bits(top, found)
-                hi = mid
-            for j in range(hi, len(levels)):
-                successes[j] += 1
-        for p, won in zip(levels, successes):
-            out.append(SweepPoint(n=n, p=p, samples=samples, successes=won))
+    try:
+        for n_idx, n in enumerate(n_list):
+            successes = [0] * len(levels)
+            for sample_idx in range(samples):
+                draws = _uniforms(derive_seed(seed, n_idx, sample_idx))
+                top = Hypergraph._from_canonical(n, tuple(_sampled_edges(n, s, levels[-1], draws)))
+                witness = find_perfect_matching(top)
+                if witness is None:
+                    continue
+                family = _level_masks(len(top.edges), levels[-1], levels, draws)
+                held = _edge_bits(top, witness)
+                lo, hi = 0, len(levels) - 1  # the first matching level is in [lo, hi]
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    if held & ~family[mid]:
+                        found = find_perfect_matching(top, edge_mask=family[mid])
+                        if found is None:
+                            lo = mid + 1
+                            continue
+                        held = _edge_bits(top, found)
+                    hi = mid
+                for j in range(hi, len(levels)):
+                    successes[j] += 1
+            for p, won in zip(levels, successes):
+                out.append(SweepPoint(n=n, p=p, samples=samples, successes=won))
+    except SearchBudgetExceeded as err:
+        raise SearchBudgetExceeded(
+            f"the matching search of sample {sample_idx} at n={n} spent its {MATCHING_BUDGET} nodes"
+        ) from err
     return out
 
 

@@ -407,7 +407,7 @@ def matching_oracle_suite(
             if len(h.edges) > max_oracle_edges:
                 continue
             produced += 1
-            found = find_perfect_matching(h, budget=30.0)
+            found = find_perfect_matching(h)
             expected = _matching_exists_oracle(h, s)
             report.checked += 1
             problems = []

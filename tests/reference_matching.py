@@ -1,5 +1,6 @@
 """Reference perfect-matching search: the list-based exact-cover search
-that the bitset search in critgraph.matching replaced, kept verbatim.
+that the bitset search in critgraph.matching replaced, kept verbatim but
+for its budget, which counts search nodes.
 
 Both searches branch on the lowest uncovered vertex with the fewest
 available edges and try edges in ascending index, so they must return
@@ -8,20 +9,19 @@ equal Matching values, not only equal verdicts; the tests compare them.
 
 from __future__ import annotations
 
-import time
-
 from critgraph.hypergraph import Hypergraph, Matching
-from critgraph.matching import SearchBudgetExceeded, _uniformity_or_raise
+from critgraph.matching import MATCHING_BUDGET, SearchBudgetExceeded, _uniformity_or_raise
 
 
 def _cover_search(
     edge_masks: list[int],
     target_mask: int,
     s: int,
-    deadline: float | None,
+    budget: int | None,
 ) -> list[int] | None:
     """Indices of pairwise-disjoint edges whose union is exactly
-    target_mask, or None. Edges must already lie inside target_mask."""
+    target_mask, or None. Edges must already lie inside target_mask.
+    Raises SearchBudgetExceeded once `budget` nodes are spent."""
     n_bits = target_mask.bit_count()
     if n_bits % s != 0:
         return None
@@ -40,12 +40,15 @@ def _cover_search(
             m ^= bit
 
     chosen: list[int] = []
+    left = float("inf") if budget is None else budget
 
     def recurse(uncovered: int) -> bool:
+        nonlocal left
         if uncovered == 0:
             return True
-        if deadline is not None and time.monotonic() > deadline:
+        if left <= 0:
             raise SearchBudgetExceeded
+        left -= 1
         # Branch on the most constrained uncovered vertex.
         best_edges: list[int] | None = None
         m = uncovered
@@ -68,9 +71,9 @@ def _cover_search(
     return chosen if recurse(target_mask) else None
 
 
-def reference_perfect_matching(h: Hypergraph, budget: float | None = 10.0) -> Matching | None:
+def reference_perfect_matching(h: Hypergraph, budget: int | None = MATCHING_BUDGET) -> Matching | None:
     """A perfect matching of h, or None if none exists. Raises
-    SearchBudgetExceeded after `budget` seconds of search."""
+    SearchBudgetExceeded once `budget` search nodes are spent."""
     s = _uniformity_or_raise(h)
     if h.n == 0:
         return Matching(())
@@ -79,16 +82,15 @@ def reference_perfect_matching(h: Hypergraph, budget: float | None = 10.0) -> Ma
     assert s is not None
     if h.n % s != 0:
         return None
-    deadline = None if budget is None else time.monotonic() + budget
     full = (1 << h.n) - 1
-    picked = _cover_search(list(h.edge_masks), full, s, deadline)
+    picked = _cover_search(list(h.edge_masks), full, s, budget)
     if picked is None:
         return None
     return Matching(h.edges[i] for i in picked)
 
 
 def reference_matching_avoiding(
-    h: Hypergraph, v: int, budget: float | None = 10.0
+    h: Hypergraph, v: int, budget: int | None = MATCHING_BUDGET
 ) -> Matching | None:
     """A perfect matching of the deletion of vertex v, expressed in the
     original vertex ids."""
@@ -101,8 +103,7 @@ def reference_matching_avoiding(
         return None
     target = ((1 << h.n) - 1) & ~(1 << v)
     keep = [(m, e) for m, e in zip(h.edge_masks, h.edges) if not m & (1 << v)]
-    deadline = None if budget is None else time.monotonic() + budget
-    picked = _cover_search([m for m, _ in keep], target, s, deadline)
+    picked = _cover_search([m for m, _ in keep], target, s, budget)
     if picked is None:
         return None
     return Matching(keep[i][1] for i in picked)

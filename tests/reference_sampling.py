@@ -68,7 +68,6 @@ def pm_threshold_sweep(
     p_grid: list[float],
     samples: int,
     seed: int,
-    matching_budget: float = 10.0,
 ) -> list[SweepPoint]:
     """Empirical probability that a binomial s-uniform hypergraph has a
     perfect matching, for every (n, p) in n_list x p_grid.
@@ -96,7 +95,7 @@ def pm_threshold_sweep(
             cell_seed = derive_seed(seed, n_idx, sample_idx)
             family = coupled_hypergraph_family(n, s, levels, cell_seed)
             for level, h in enumerate(family):
-                if find_perfect_matching(h, budget=matching_budget) is not None:
+                if find_perfect_matching(h) is not None:
                     for j in range(level, len(levels)):
                         successes[j] += 1
                     break

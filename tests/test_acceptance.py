@@ -138,7 +138,7 @@ def test_criterion_6_construction_search_honest_at_desk_scale(tmp_path):
     for seed in range(5):
         h = sample_hypergraph(params6.n, params6.s, params6.q, derive_seed(606, seed))
         verdict = check_sparsity(h, params6.m, params6.s)
-        report = all_deletions_matchable(h, budget=10.0)
+        report = all_deletions_matchable(h)
         assert not (verdict.holds and report.all_matchable)
         if report.all_matchable:
             spot += 1

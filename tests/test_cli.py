@@ -26,6 +26,7 @@ from critgraph import cli, sampling, suites
 from critgraph.certify import check_certificate, verify_construction
 from critgraph.cli import main, run_construct_search
 from critgraph.hypergraph import Hypergraph, complement, two_section
+from critgraph.matching import MATCHING_BUDGET
 from critgraph.sampling import SweepPoint, derive_params, sample_hypergraph
 
 from conftest import hypergraphs
@@ -363,6 +364,22 @@ def test_holding_sparsity_with_a_violator_is_refused(tmp_path, capsys):
     assert _verify_doc(doc, tmp_path, capsys) == (1, f"certificate INVALID:\n  - {reason}\n")
 
 
+def test_forged_subset_minimum_is_refused(tmp_path, capsys):
+    # Every deletion of this n = 41 sample matches, and its graph has only
+    # 4 edges, so chi(G) = 2. A witness that does induce 1 edge, recorded
+    # as the exact minimum, would make the conclusions read chi = 11.
+    out = tmp_path / "sample.json"
+    argv = ["construct", "--r", "1", "--k", "11", "--seed", "6027006096675754289", "--restarts", "0"]
+    assert main(argv + ["--quiet", "--out", str(out)]) == 2
+    doc = json.loads(out.read_text())
+    capsys.readouterr()
+    assert doc["matchability"]["all_matchable"] and len(doc["graph"]["edges"]) == 4
+    doc["min_subset_edges"] = {"count": 1, "witness": [0, 1, 2, 3, 36], "exact": True}
+    doc["conclusions"] = {"chi": 11, "vertex_critical": True, "robust_to_r": False}
+    reason = "subset [0, 1, 2, 3, 4] induces 0 edges, below the claimed minimum 1"
+    assert _verify_doc(doc, tmp_path, capsys) == (1, f"certificate INVALID:\n  - {reason}\n")
+
+
 def test_unreadable_files_are_parse_errors(tmp_path):
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe\x00 not text")
@@ -416,10 +433,29 @@ def test_cli_construct_n61_golden_digest(tmp_path):
     )
 
 
+def test_cli_construct_timeouts_are_fixed_by_the_node_budget(tmp_path):
+    # The same attempt at 1000 nodes per deletion: which deletions time out
+    # depends on the budget alone, so the bytes are pinned like a golden.
+    out = tmp_path / "report.json"
+    argv = ["construct", "--r", "1", "--k", "16", "--seed", "3", "--restarts", "0", "--matching-budget", "1000"]
+    assert main(argv + ["--quiet", "--out", str(out)]) == 2
+    statuses = [entry["status"] for entry in json.loads(out.read_text())["matchability"]["per_vertex"]]
+    assert (statuses.count("matched"), statuses.count("timeout")) == (32, 29)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "1df7241c35e2455173bb4d6c5acdda56b0abe38478caa1ddbc50e5f1b0cdc758"
+    )
+
+
 def test_cli_construct_usage_errors(tmp_path):
     assert main(["construct", "--r", "0", "--k", "5"]) == 1
     assert main(["construct", "--r", "1", "--k", "1"]) == 1
-    assert main(["construct", "--r", "1", "--k", "3", "--matching-budget", "nan"]) == 1
+    assert main(["construct", "--r", "1", "--k", "3", "--matching-budget", "0"]) == 1
+    # The budget counts search nodes, so a fraction is refused like any
+    # other malformed integer.
+    for text in ("nan", "2.5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "--r", "1", "--k", "3", "--matching-budget", text])
+        assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
         main(["construct", "--r", "nonsense", "--k", "5"])
     assert exc.value.code == 1
@@ -436,7 +472,7 @@ def test_cli_construct_deterministic_bytes(tmp_path):
 def _search_with_progress(k: int, C: float | None, seed: int, workers: int):
     seen = []
     cert, ok, idx = run_construct_search(
-        1, k, C, seed, restarts=9, budget=10.0, workers=workers,
+        1, k, C, seed, restarts=9, budget=MATCHING_BUDGET, workers=workers,
         progress=lambda attempt, score: seen.append((attempt, score)),
     )
     return certificate_to_json(cert), ok, idx, seen
@@ -494,7 +530,7 @@ def test_search_derives_params_and_base_pool_once(monkeypatch):
     monkeypatch.setattr(cli, "derive_params", counting_derive_params)
     sampling._base_pool.cache_clear()
     seen = []
-    run_construct_search(1, 11, None, 20261018, restarts=800, budget=10.0, progress=lambda idx, _: seen.append(idx))
+    run_construct_search(1, 11, None, 20261018, restarts=800, budget=MATCHING_BUDGET, progress=lambda idx, _: seen.append(idx))
     assert seen == list(range(801))
     assert len(calls) == 1
     assert sampling._base_pool.cache_info().misses == 1
@@ -506,7 +542,7 @@ def test_search_produces_jobs_lazily(monkeypatch):
     monkeypatch.setattr(cli, "_attempt_summary", lambda job: (job[2], 3, True))
     tracemalloc.start()
     try:
-        _, ok, idx = run_construct_search(1, 2, None, 5, restarts=10**6, budget=10.0)
+        _, ok, idx = run_construct_search(1, 2, None, 5, restarts=10**6, budget=MATCHING_BUDGET)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

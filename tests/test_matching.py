@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
+import time
 from itertools import combinations
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from critgraph import matching
 from critgraph.certformat import write_certificate
 from critgraph.certify import verify_construction
 from critgraph.hypergraph import Hypergraph, Matching, complement, two_section
@@ -51,7 +53,7 @@ def test_find_pm_uncoverable_vertex():
 def test_find_pm_divisibility_short_circuit():
     # A zero budget raises at the first search node, so returning None
     # shows that no search ran.
-    assert find_perfect_matching(complete_uniform(5, 3), budget=0.0) is None
+    assert find_perfect_matching(complete_uniform(5, 3), budget=0) is None
 
 
 def test_find_pm_rejects_non_uniform():
@@ -67,7 +69,7 @@ def test_find_pm_empty_vertex_set():
 @given(uniform_hypergraphs(s=3, max_n=12, max_edges=10))
 @settings(max_examples=200, deadline=None)
 def test_solver_equals_oracle_s3(h):
-    got = find_perfect_matching(h, budget=30.0)
+    got = find_perfect_matching(h)
     assert (got is not None) == _matching_exists_oracle(h, 3)
     if got is not None:
         assert valid_matching_for(h, got, set(range(h.n)))
@@ -76,14 +78,14 @@ def test_solver_equals_oracle_s3(h):
 @given(uniform_hypergraphs(s=2, max_n=10, max_edges=12))
 @settings(max_examples=150, deadline=None)
 def test_solver_equals_oracle_s2(h):
-    got = find_perfect_matching(h, budget=30.0)
+    got = find_perfect_matching(h)
     assert (got is not None) == _matching_exists_oracle(h, 2)
 
 
 @given(uniform_hypergraphs(s=4, max_n=12, max_edges=8))
 @settings(max_examples=150, deadline=None)
 def test_solver_equals_oracle_s4(h):
-    got = find_perfect_matching(h, budget=30.0)
+    got = find_perfect_matching(h)
     assert (got is not None) == _matching_exists_oracle(h, 4)
 
 
@@ -249,7 +251,7 @@ def test_all_deletions_edgeless_requires_explicit_s():
 def test_per_vertex_verdicts_match_oracle(h):
     if h.n % 3 != 1:
         h = Hypergraph(h.n + (1 - h.n % 3) % 3, h.edges)
-    report = all_deletions_matchable(h, budget=30.0, s=3)
+    report = all_deletions_matchable(h, s=3)
     for v in range(h.n):
         kept = Hypergraph(
             h.n, [e for e in h.edges if v not in e]
@@ -279,16 +281,32 @@ def _deleted_oracle(h: Hypergraph, removed: int, s: int) -> bool:
 
 
 def test_budget_exhaustion_is_distinct():
-    # A padded instance large enough that a zero-second budget trips
-    # before the search finishes.
+    # A zero-node budget trips at the first search node.
     h = complete_uniform(12, 3)
     with pytest.raises(SearchBudgetExceeded):
-        find_perfect_matching(h, budget=0.0)
-    # Every deletion gets its own deadline, so each one times out rather
+        find_perfect_matching(h, budget=0)
+    # Every deletion gets its own budget, so each one times out rather
     # than only the first.
-    report = all_deletions_matchable(complete_uniform(13, 3), budget=0.0, stop_early=False)
+    report = all_deletions_matchable(complete_uniform(13, 3), budget=0, stop_early=False)
     assert not report.all_matchable
     assert {o.status for o in report.per_vertex.values()} == {TIMEOUT}
+
+
+def test_budget_counts_search_nodes_and_reads_no_clock(monkeypatch):
+    # Each deletion of the complete 3-graph on 13 vertices is covered by
+    # its first choice at each of 4 nodes: 4 nodes suffice and 3 do not.
+    h = complete_uniform(13, 3)
+    assert all_deletions_matchable(h, budget=4).all_matchable
+    expected = all_deletions_matchable(h, budget=3, stop_early=False)
+    assert {o.status for o in expected.per_vertex.values()} == {TIMEOUT}
+
+    def no_clock():
+        raise AssertionError("the matching search read a clock")
+
+    assert "time" not in vars(matching)
+    monkeypatch.setattr(time, "monotonic", no_clock)
+    monkeypatch.setattr(time, "perf_counter", no_clock)
+    assert all_deletions_matchable(h, budget=3, stop_early=False) == expected
 
 
 def test_matching_to_coloring_examples():

@@ -582,6 +582,29 @@ def test_cli_sweep_refuses_samples_below_one(samples, capsys):
     assert capsys.readouterr().err == "error: need --samples >= 1\n"
 
 
+def test_cli_sweep_reports_a_spent_matching_budget_as_a_cap(tmp_path, monkeypatch, capsys):
+    # As lemma-check reports a cap: exit 3, the sample named, no table.
+    from critgraph import matching
+
+    real = matching.find_perfect_matching
+
+    def spent_at_n9(h, **kwargs):
+        if h.n == 9:
+            raise matching.SearchBudgetExceeded
+        return real(h, **kwargs)
+
+    monkeypatch.setattr(matching, "find_perfect_matching", spent_at_n9)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--s", "3", "--n", "6,9", "--p", "0.1,0.5", "--samples", "3", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"cap exceeded: the matching search of sample 0 at n=9 spent its {matching.MATCHING_BUDGET} nodes\n"
+    )
+    assert not out.exists()
+
+
 def test_sweep_searches_each_sample_once_unless_it_matches(monkeypatch):
     from critgraph import matching
 

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 
 import critgraph
 from critgraph.cli import _attempt_certificate, _attempt_summary, main
+from critgraph.matching import MATCHING_BUDGET
 from critgraph.sampling import derive_params, derive_seed, sample_fails_sparsity, sample_hypergraph
 from critgraph.sparsity import check_sparsity, forced_violator_size
 
@@ -37,7 +38,7 @@ def test_streaming_summary_equals_full_path(k, attempts):
     if k == 2:
         assert params.q == 1.0
     for idx in range(attempts):
-        job = (params, 20261018, idx, 10.0)
+        job = (params, 20261018, idx, MATCHING_BUDGET)
         assert _attempt_summary(job) == _full_summary(*job)
 
 
@@ -48,7 +49,7 @@ def test_streaming_falls_back_when_sparsity_passes():
     params = derive_params(1, 6, C)
     fallbacks = passed = 0
     for idx in range(40):
-        job = (params, 7, idx, 10.0)
+        job = (params, 7, idx, MATCHING_BUDGET)
         summary = _attempt_summary(job)
         assert summary == _full_summary(*job)
         if not sample_fails_sparsity(params.n, params.s, params.q, params.m, derive_seed(7, idx)):
