@@ -2,19 +2,23 @@
 
 A certificate records the sampled hypergraph, the target graph (complement
 of the 2-section), the matchability witnesses, the sparsity verdict, and
-the minimum edge count over (s+1)-vertex subsets, then draws conclusions
-by pure arithmetic:
+the minimum edge count over (s+1)-vertex subsets. Its stages, in pipeline
+order, are one ladder (`stage_results`):
+
+  stage 1  the sparsity condition holds;
+  stage 2  every vertex deletion has a matching witness;
+  stage 3  the (s+1)-subset minimum is exact and at least r + 1.
+
+Conclusions follow by pure arithmetic:
 
   chromatic number = k   when every deletion has a matching witness (upper
                          bound: each witness is a (k-1)-coloring of G - v,
-                         plus one color) and every (s+1)-subset spans an
-                         edge (lower bound: independence <= s on
+                         plus one color) and the exact (s+1)-subset minimum
+                         is at least 1 (lower bound: independence <= s on
                          n = s(k-1)+1 vertices forces >= k colors);
   vertex-critical        under the same two facts;
-  robust to r deletions  when additionally the sparsity condition holds and
-                         the minimum (s+1)-subset edge count is >= r+1, so
-                         after any r deletions every (s+1)-subset still
-                         spans an edge.
+  robust to r deletions  when all three stages pass, so after any r
+                         deletions every (s+1)-subset still spans an edge.
 
 check_certificate re-derives everything from the stored witnesses without
 re-running the matching search. The universal claims no witness can carry
@@ -67,25 +71,29 @@ class Certificate:
     seed: int
     tool_version: str = TOOL_VERSION
 
+    def stage_results(self) -> tuple[bool, bool, bool]:
+        return stage_results(self.params, self.matchability, self.sparsity, self.min_subset_edges)
+
     def stages_passed(self) -> int:
-        """How many verification stages completed successfully, in pipeline
-        order; used to rank failed attempts."""
-        score = 0
-        if self.sparsity is not None and self.sparsity.holds:
-            score += 1
-        else:
-            return score
-        if self.matchability is not None and self.matchability.all_matchable:
-            score += 1
-        else:
-            return score
-        if (
-            self.min_subset_edges is not None
-            and self.min_subset_edges.exact
-            and self.min_subset_edges.count >= self.params.r + 1
-        ):
-            score += 1
-        return score
+        """How many stages passed before the first that did not, in
+        pipeline order; used to rank failed attempts. 3 is robust."""
+        results = self.stage_results()
+        return results.index(False) if False in results else len(results)
+
+
+def stage_results(
+    params: ConstructionParams,
+    matchability: MatchabilityReport | None,
+    sparsity: SparsityVerdict | None,
+    subset: SubsetEdgeCount | None,
+) -> tuple[bool, bool, bool]:
+    """Whether each of the three stages passed, judged on its own record;
+    an absent record fails its stage."""
+    return (
+        sparsity is not None and sparsity.holds,
+        matchability is not None and matchability.all_matchable,
+        subset is not None and subset.exact and subset.count >= params.r + 1,
+    )
 
 
 def min_subset_edges(
@@ -136,21 +144,12 @@ def _conclusions(
     sparsity: SparsityVerdict | None,
     subset: SubsetEdgeCount | None,
 ) -> Conclusions:
-    matched = matchability is not None and matchability.all_matchable
-    sparse = sparsity is not None and sparsity.holds
-    min_known = subset is not None and subset.exact
-    no_big_independent_set = min_known and subset.count >= 1
-    chi_certified = matched and no_big_independent_set
-    robust = (
-        matched
-        and sparse
-        and subset is not None
-        and subset.count >= params.r + 1
-    )
+    stages = stage_results(params, matchability, sparsity, subset)
+    chi_certified = stages[1] and subset is not None and subset.exact and subset.count >= 1
     return Conclusions(
         chi=params.k if chi_certified else None,
         vertex_critical=chi_certified,
-        robust_to_r=robust,
+        robust_to_r=all(stages),
     )
 
 

@@ -64,16 +64,16 @@ def _seed(text: str) -> int:
     return value
 
 
-def _attempt_summary(args: tuple[ConstructionParams, int, int, int]) -> tuple[int, int, bool]:
-    """(attempt index, stages passed, fully robust) for one restart; pure
+def _attempt_summary(args: tuple[ConstructionParams, int, int, int]) -> tuple[int, int]:
+    """(attempt index, stages passed) for one restart, 3 being robust; pure
     in its arguments, so parallel fan-out is deterministic. A sample that
     fails sparsity while its edges stream in scores 0 at once, as the full
     check would score it."""
     params, base_seed, idx, budget = args
     if sample_fails_sparsity(params.n, params.s, params.q, params.m, derive_seed(base_seed, idx)):
-        return idx, 0, False
+        return idx, 0
     cert = _attempt_certificate(params, base_seed, idx, budget, stop_early=True)
-    return idx, cert.stages_passed(), cert.conclusions.robust_to_r
+    return idx, cert.stages_passed()
 
 
 def _attempt_certificate(
@@ -126,10 +126,10 @@ def run_construct_search(
     best_score = -1
     success_idx: int | None = None
     with contextlib.closing(_attempt_results(jobs, workers)) as results:
-        for idx, score, robust in results:
+        for idx, score in results:
             if progress is not None:
                 progress(idx, score)
-            if robust:
+            if score == 3:
                 success_idx = idx
                 break
             if score > best_score:
@@ -212,18 +212,20 @@ def _cmd_construct(args) -> int:
 
 
 def _print_failure_summary(cert: Certificate) -> None:
-    if cert.sparsity is not None and not cert.sparsity.holds:
+    """One line for each recorded stage that failed."""
+    sparse, matched, floor = cert.stage_results()
+    if cert.sparsity is not None and not sparse:
         v = cert.sparsity.violator
         assert v is not None
         print(
             f"  sparsity violated: {len(v.edge_indices)} edges span {v.spanned} "
             f"< {(cert.params.s - 1) * len(v.edge_indices)} vertices"
         )
-    if cert.matchability is not None and not cert.matchability.all_matchable:
+    if cert.matchability is not None and not matched:
         v = cert.matchability.first_failure()
         status = cert.matchability.per_vertex[v].status
         print(f"  matchability failed at vertex {v} ({status})")
-    if cert.min_subset_edges is not None and cert.min_subset_edges.count < cert.params.r + 1:
+    if cert.min_subset_edges is not None and not floor:
         print(
             f"  min ({cert.params.s + 1})-subset edge count {cert.min_subset_edges.count} "
             f"< r + 1 = {cert.params.r + 1}"
@@ -247,48 +249,40 @@ def _cmd_verify(args) -> int:
     return EXIT_USAGE
 
 
-def _pick(value, default):
-    return default if value is None else value
+_EXHAUSTIVE = {"max_n": "max_n", "max_edges": "max_edges"}
+_RANDOMIZED = {"max_n": "max_n", "count": "count", "seed": "seed"}
 
-
+# Each suite: the name of its function in this module, looked up at call
+# time, and the lemma-check flags it reads with the parameter each one
+# sets. A flag left out keeps the function's own default.
 _SUITES = {
-    "obs1": lambda args: connected_bound_suite(
-        max_n=_pick(args.max_n, 6), max_edges=_pick(args.max_edges, 5)
-    ),
-    "blocks": lambda args: small_cut_suite(
-        max_n=_pick(args.max_n, 5), max_edges=_pick(args.max_edges, 5)
-    ),
-    "edgebound": lambda args: two_section_bound_suite(
-        count=_pick(args.count, 200), seed=_pick(args.seed, 0), max_n=_pick(args.max_n, 14)
-    ),
-    "sparsity-oracle": lambda args: sparsity_oracle_suite(
-        count=_pick(args.count, 200), seed=_pick(args.seed, 1), max_n=_pick(args.max_n, 14)
-    ),
-    "matching-oracle": lambda args: matching_oracle_suite(
-        count_per_s=_pick(args.count, 200), seed=_pick(args.seed, 2), max_n=_pick(args.max_n, 12)
-    ),
+    "obs1": ("connected_bound_suite", _EXHAUSTIVE),
+    "blocks": ("small_cut_suite", _EXHAUSTIVE),
+    "edgebound": ("two_section_bound_suite", _RANDOMIZED),
+    "sparsity-oracle": ("sparsity_oracle_suite", _RANDOMIZED),
+    "matching-oracle": ("matching_oracle_suite", {**_RANDOMIZED, "count": "count_per_s"}),
 }
 
 
 def _cmd_lemma_check(args) -> int:
-    # Every suite reads --max-n; the exhaustive ones also read --max-edges,
-    # the randomized ones --count and --seed. A flag a suite ignores is refused.
-    for flag in ("count", "seed") if args.suite in ("obs1", "blocks") else ("max_edges",):
-        if getattr(args, flag) is not None:
+    name, reads = _SUITES[args.suite]
+    flags = ("max_n", "max_edges", "count", "seed")
+    given = {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
+    for flag in given:
+        if flag not in reads:
             print(f"error: --suite {args.suite} does not read --{flag.replace('_', '-')}", file=sys.stderr)
             return EXIT_USAGE
     try:
-        report = _SUITES[args.suite](args)
+        report = globals()[name](**{reads[flag]: value for flag, value in given.items()})
     except CapExceeded as err:
         print(f"cap exceeded: {err}", file=sys.stderr)
         return EXIT_CAP
     except RequestRefused as err:  # nothing was checked
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    name = report.suite
     verdict = "PASS" if report.passed else "FAIL"
     print(
-        f"suite {name}: checked={report.checked} skipped={report.skipped} "
+        f"suite {report.suite}: checked={report.checked} skipped={report.skipped} "
         f"counterexamples={len(report.counterexamples)} -> {verdict}"
     )
     if not report.passed:
@@ -359,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--suite", required=True, choices=sorted(_SUITES))
     l.add_argument("--max-n", type=int, default=None)
     l.add_argument("--max-edges", type=int, default=None)
-    l.add_argument("--count", type=int, default=None, help="instances for randomized suites (200)")
+    l.add_argument("--count", type=int, default=None, help="instances for randomized suites")
     l.add_argument("--seed", type=_seed, default=None)
     l.set_defaults(func=_cmd_lemma_check)
 

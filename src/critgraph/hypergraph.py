@@ -107,7 +107,8 @@ class Hypergraph:
         return self._uniformity
 
     def is_uniform(self, s: int) -> bool:
-        return all(len(e) == s for e in self.edges)
+        """Whether every edge has s vertices (true of no edges)."""
+        return not self.edges or self._uniformity == s
 
 
 @dataclass(frozen=True)

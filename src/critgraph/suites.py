@@ -384,7 +384,7 @@ def sparsity_oracle_suite(
 
 
 def matching_oracle_suite(
-    count_per_s: int = 100,
+    count_per_s: int = 200,
     seed: int = 2,
     max_n: int = 12,
     uniformities: tuple[int, ...] = (2, 3, 4),
@@ -392,21 +392,17 @@ def matching_oracle_suite(
 ) -> SuiteReport:
     """Solver verdict must equal exhaustive enumeration over all edge
     subsets of the right cardinality, and every witness must re-validate
-    as a disjoint cover."""
+    as a disjoint cover. Each instance draws at most max_oracle_edges
+    edges, which bounds the enumeration whatever max_n is."""
     _at_least("count_per_s", count_per_s, 1)
     _at_least("max_n", max_n, max(uniformities))
     report = SuiteReport("matching-oracle")
     for s in uniformities:
-        produced = 0
-        attempt = 0
-        while produced < count_per_s:
-            draws = _uniforms(derive_seed(seed, s, attempt))
-            attempt += 1
+        for i in range(count_per_s):
+            draws = _uniforms(derive_seed(seed, s, i))
             n = s + _below(draws, max_n - s + 1)
-            h = _random_uniform_hypergraph(draws, n, s, 1 + _below(draws, max(1, 3 * n // s - 1)))
-            if len(h.edges) > max_oracle_edges:
-                continue
-            produced += 1
+            edges = 1 + _below(draws, min(max_oracle_edges, max(1, 3 * n // s - 1)))
+            h = _random_uniform_hypergraph(draws, n, s, edges)
             found = find_perfect_matching(h)
             expected = _matching_exists_oracle(h, s)
             report.checked += 1

@@ -5,8 +5,9 @@ tests call: the labelled-hypergraph enumerator, the connected-bound check,
 the (s+1)-subset scan that `edge_bound_check` used before it shared
 `certify.min_subset_edges`, `find_small_cut` with the graph-search
 components it used before it worked on vertex masks, the exhaustive span
-check it used before `hypergraph.cycle_ranks`, and the instance
-constructor of the randomized suites before it unranked its draws."""
+check it used before `hypergraph.cycle_ranks`, the instance
+constructor of the randomized suites before it unranked its draws, and
+the `matching-oracle` draw loop before it bounded each edge count."""
 
 from __future__ import annotations
 
@@ -24,7 +25,8 @@ from critgraph.lemmas import (
     candidate_edges,
     require_within_cap,
 )
-from critgraph.suites import SuiteReport, _distinct_below
+from critgraph.sampling import _uniforms, derive_seed
+from critgraph.suites import SuiteReport, _below, _distinct_below, _random_uniform_hypergraph
 from graph_ops import adjacency, is_connected
 
 
@@ -268,3 +270,25 @@ def random_uniform_hypergraph(draws, n: int, s: int, edge_count: int) -> Hypergr
     all_edges = list(combinations(range(n), s))
     picked = _distinct_below(draws, math.comb(n, s), edge_count)
     return Hypergraph(n, [all_edges[i] for i in picked])
+
+
+def matching_oracle_instances(
+    count_per_s: int, seed: int, max_n: int, uniformities=(2, 3, 4), max_oracle_edges: int = 18
+) -> list[Hypergraph]:
+    """The instances `matching_oracle_suite` checked when it drew an edge
+    count up to 3n/s - 1 and threw away any instance above
+    max_oracle_edges, with no cap on the draws."""
+    out = []
+    for s in uniformities:
+        produced = 0
+        attempt = 0
+        while produced < count_per_s:
+            draws = _uniforms(derive_seed(seed, s, attempt))
+            attempt += 1
+            n = s + _below(draws, max_n - s + 1)
+            h = _random_uniform_hypergraph(draws, n, s, 1 + _below(draws, max(1, 3 * n // s - 1)))
+            if len(h.edges) > max_oracle_edges:
+                continue
+            produced += 1
+            out.append(h)
+    return out

@@ -1,21 +1,23 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from critgraph.certify import (
+    Certificate,
     Conclusions,
     SubsetEdgeCount,
+    _conclusions,
     check_certificate,
     min_subset_edges,
     verify_construction,
 )
 from critgraph.hypergraph import Graph, Hypergraph, complement, two_section
-from critgraph.matching import MATCHED, VertexOutcome
+from critgraph.matching import MATCHED, MatchabilityReport, VertexOutcome
 from critgraph.sampling import derive_params, derive_seed, sample_hypergraph
-from critgraph.sparsity import Violator, check_sparsity
+from critgraph.sparsity import SparsityVerdict, Violator, check_sparsity
 
 from chromatic import cross_check_with_oracles, exact_chromatic, exact_independence
 from conftest import is_proper_coloring
@@ -116,6 +118,48 @@ def test_verify_construction_dimension_mismatch():
         verify_construction(Hypergraph(4, [(0, 1, 2, 3)]), params)
     with pytest.raises(ValueError):
         verify_construction(Hypergraph(5, [(0, 1, 2)]), params)
+
+
+def _stage_records(params):
+    """Every combination of stage records: sparsity and matchability each
+    absent, failing or passing; the subset minimum absent, or inexact or
+    exact with each count from 0 to r + 2."""
+    sparsities = [None, *(SparsityVerdict(holds, None, params.m, params.s) for holds in (False, True))]
+    matchings = [None, *(MatchabilityReport({}, ok) for ok in (False, True))]
+    subsets = [None] + [
+        SubsetEdgeCount(count, tuple(range(params.s + 1)), exact)
+        for exact in (False, True)
+        for count in range(params.r + 3)
+    ]
+    return product(sparsities, matchings, subsets)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_stage_ladder_is_one_rule(r):
+    # robust_to_r, which check_certificate re-derives, is exactly the
+    # third rung of the ladder that ranks attempts.
+    params = derive_params(r, 6)
+    for sparsity, matchability, subset in _stage_records(params):
+        conclusions = _conclusions(params, matchability, sparsity, subset)
+        cert = Certificate(
+            params, Hypergraph(params.n, []), Graph(params.n, []), matchability, sparsity, subset, conclusions, 0
+        )
+        assert conclusions.robust_to_r == (cert.stages_passed() == 3)
+
+
+def test_inexact_minimum_is_not_robust():
+    # A minimum that stopped early is only an upper bound, so a count of
+    # r + 1 or more proves nothing; the subset stage fails.
+    params = derive_params(1, 6)
+    matched = MatchabilityReport({}, True)
+    sparse = SparsityVerdict(True, None, params.m, params.s)
+    subset = SubsetEdgeCount(2, (0, 1, 2, 3, 4), exact=False)
+    conclusions = _conclusions(params, matched, sparse, subset)
+    assert conclusions == Conclusions(chi=None, vertex_critical=False, robust_to_r=False)
+    cert = Certificate(params, Hypergraph(params.n, []), Graph(params.n, []), matched, sparse, subset, conclusions, 0)
+    assert cert.stages_passed() == 2
+    exact = replace(subset, exact=True)
+    assert _conclusions(params, matched, sparse, exact) == Conclusions(chi=6, vertex_critical=True, robust_to_r=True)
 
 
 def _certified_fixture():

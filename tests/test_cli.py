@@ -539,7 +539,7 @@ def test_search_derives_params_and_base_pool_once(monkeypatch):
 def test_search_produces_jobs_lazily(monkeypatch):
     # A million restarts as a list of jobs would be about 120 MB before the
     # first attempt; produced lazily, a success at index 0 costs nothing.
-    monkeypatch.setattr(cli, "_attempt_summary", lambda job: (job[2], 3, True))
+    monkeypatch.setattr(cli, "_attempt_summary", lambda job: (job[2], 3))
     tracemalloc.start()
     try:
         _, ok, idx = run_construct_search(1, 2, None, 5, restarts=10**6, budget=MATCHING_BUDGET)
@@ -565,6 +565,43 @@ def test_cli_lemma_check_pass():
     assert main(["lemma-check", "--suite", "sparsity-oracle", "--count", "25"]) == 0
     assert main(["lemma-check", "--suite", "matching-oracle", "--count", "10"]) == 0
     assert main(["lemma-check", "--suite", "edgebound", "--count", "25"]) == 0
+
+
+@pytest.mark.parametrize(
+    "suite, line",
+    [("obs1", "checked=2030210 skipped=0"),
+     ("blocks", "checked=2372 skipped=19966"),
+     ("edgebound", "checked=200 skipped=169"),
+     ("sparsity-oracle", "checked=200 skipped=0"),
+     ("matching-oracle", "checked=600 skipped=0")],
+)
+def test_cli_lemma_check_defaults(suite, line, capsys):
+    # With no sizing flags each suite runs at its function's own defaults.
+    assert main(["lemma-check", "--suite", suite]) == 0
+    assert capsys.readouterr().out == f"suite {suite}: {line} counterexamples=0 -> PASS\n"
+
+
+def test_cli_lemma_check_passes_only_the_flags_given(monkeypatch):
+    calls = []
+
+    def recording(**kwargs):
+        report = suites.matching_oracle_suite(**kwargs)
+        calls.append((kwargs, report.to_dict()))
+        return report
+
+    monkeypatch.setattr(cli, "matching_oracle_suite", recording)
+    assert main(["lemma-check", "--suite", "matching-oracle"]) == 0
+    assert main(["lemma-check", "--suite", "matching-oracle", "--count", "3", "--seed", "4"]) == 0
+    assert [kwargs for kwargs, _ in calls] == [{}, {"count_per_s": 3, "seed": 4}]
+    assert calls[0][1] == suites.matching_oracle_suite().to_dict()
+
+
+def test_cli_matching_oracle_stays_quick_at_a_large_max_n(capsys):
+    # Each instance draws at most 18 edges, so a huge n throws nothing away.
+    start = time.perf_counter()
+    assert main(["lemma-check", "--suite", "matching-oracle", "--max-n", "20000", "--count", "1", "--seed", "1"]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().out == "suite matching-oracle: checked=3 skipped=0 counterexamples=0 -> PASS\n"
 
 
 def test_cli_lemma_check_cap_exceeded(monkeypatch):

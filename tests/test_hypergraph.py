@@ -174,6 +174,15 @@ def test_delete_edges_and_vertices():
     assert cut.n == 2 and cut.edges == ()
 
 
+@given(st.one_of(hypergraphs(), hypergraphs(sizes=(3,))))
+@settings(max_examples=200)
+def test_is_uniform_equals_the_scan(h):
+    # Empty, mixed and single-size edge sets alike: the cached uniformity
+    # answers as a scan of every edge would.
+    for s in range(6):
+        assert h.is_uniform(s) == all(len(e) == s for e in h.edges)
+
+
 @given(hypergraphs())
 @settings(max_examples=150)
 def test_restrict_commutes_with_two_section(h):

@@ -26,7 +26,9 @@ from critgraph.sparsity import check_sparsity, forced_violator_size
 
 def _full_summary(params, base_seed, idx, budget):
     cert = _attempt_certificate(params, base_seed, idx, budget, stop_early=True)
-    return idx, cert.stages_passed(), cert.conclusions.robust_to_r
+    score = cert.stages_passed()
+    assert cert.conclusions.robust_to_r == (score == 3)
+    return idx, score
 
 
 @pytest.mark.parametrize(

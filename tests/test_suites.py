@@ -27,6 +27,7 @@ from critgraph.lemmas import (
     find_small_cut,
     require_within_cap,
 )
+from critgraph.matching import find_perfect_matching
 from critgraph.sampling import _uniforms, derive_seed
 from critgraph.sparsity import check_sparsity
 
@@ -210,6 +211,23 @@ def test_random_suite_reports_unchanged(suite, seed, monkeypatch):
     monkeypatch.setattr(suites, "_random_uniform_hypergraph", reference_suites.random_uniform_hypergraph)
     assert report == run(seed).to_dict()
     assert report["checked"] > 0
+
+
+@pytest.mark.parametrize("seed", [2, 5, 9])
+def test_matching_oracle_instances_equal_the_old_draw_loop(seed, monkeypatch):
+    # Up to max_n = 12 every edge count the old loop drew was at most 17,
+    # so it never threw an instance away: bounding the count draws the
+    # same instances.
+    seen = []
+
+    def recording(h, *args, **kwargs):
+        seen.append(h)
+        return find_perfect_matching(h, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "find_perfect_matching", recording)
+    report = suites.matching_oracle_suite(count_per_s=200, seed=seed, max_n=12)
+    assert report.checked == 600
+    assert seen == reference_suites.matching_oracle_instances(200, seed, 12)
 
 
 def test_below_rejects_then_accepts():
