@@ -9,14 +9,10 @@ Exit codes: 0 success, 1 usage or parse error, 2 honest search failure,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
-import os
 import secrets
 import sys
-from collections.abc import Iterator
-from itertools import islice
 from pathlib import Path
 
 from .certformat import (
@@ -64,16 +60,13 @@ def _seed(text: str) -> int:
     return value
 
 
-def _attempt_summary(args: tuple[ConstructionParams, int, int, int]) -> tuple[int, int]:
-    """(attempt index, stages passed) for one restart, 3 being robust; pure
-    in its arguments, so parallel fan-out is deterministic. A sample that
-    fails sparsity while its edges stream in scores 0 at once, as the full
-    check would score it."""
-    params, base_seed, idx, budget = args
+def _attempt_summary(params: ConstructionParams, base_seed: int, idx: int, budget: int) -> int:
+    """The stages one restart passes, 3 being robust. A sample that fails
+    sparsity while its edges stream in scores 0 at once, as the full check
+    would score it."""
     if sample_fails_sparsity(params.n, params.s, params.q, params.m, derive_seed(base_seed, idx)):
-        return idx, 0
-    cert = _attempt_certificate(params, base_seed, idx, budget, stop_early=True)
-    return idx, cert.stages_passed()
+        return 0
+    return _attempt_certificate(params, base_seed, idx, budget, stop_early=True).stages_passed()
 
 
 def _attempt_certificate(
@@ -86,23 +79,6 @@ def _attempt_certificate(
     )
 
 
-def _attempt_results(jobs: Iterator[tuple], workers: int):
-    """The attempt summaries of `jobs`, in index order: computed here for
-    one worker, else by a pool of at most os.cpu_count() processes, one
-    chunk at a time, so a success stops the search within a chunk whatever
-    the scheduling. Jobs are taken from the iterator only as needed."""
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1:
-        yield from map(_attempt_summary, jobs)
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = workers * 4
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        while batch := list(islice(jobs, chunk)):
-            yield from pool.map(_attempt_summary, batch)
-
-
 def run_construct_search(
     r: int,
     k: int,
@@ -110,7 +86,6 @@ def run_construct_search(
     base_seed: int,
     restarts: int,
     budget: int,
-    workers: int = 1,
     progress=None,
 ) -> tuple[Certificate, bool, int]:
     """Sample-and-verify loop: (restarts + 1) attempts with derived seeds;
@@ -118,22 +93,22 @@ def run_construct_search(
     most stages (ties to the lowest index) is re-verified thoroughly and
     returned as the best effort. Returns (certificate, success, index).
 
-    The parameters are derived once for the whole search, and the attempt
-    jobs are produced lazily, so memory does not grow with `restarts`."""
+    The parameters are derived once for the whole search, and the attempts
+    run one at a time in this process, so memory does not grow with
+    `restarts`."""
     params = derive_params(r, k, C)
-    jobs = ((params, base_seed, idx, budget) for idx in range(restarts + 1))
     best_idx = 0
     best_score = -1
     success_idx: int | None = None
-    with contextlib.closing(_attempt_results(jobs, workers)) as results:
-        for idx, score in results:
-            if progress is not None:
-                progress(idx, score)
-            if score == 3:
-                success_idx = idx
-                break
-            if score > best_score:
-                best_idx, best_score = idx, score
+    for idx in range(restarts + 1):
+        score = _attempt_summary(params, base_seed, idx, budget)
+        if progress is not None:
+            progress(idx, score)
+        if score == 3:
+            success_idx = idx
+            break
+        if score > best_score:
+            best_idx, best_score = idx, score
 
     if success_idx is not None:
         cert = _attempt_certificate(params, base_seed, success_idx, budget, stop_early=True)
@@ -186,7 +161,6 @@ def _cmd_construct(args) -> int:
         base_seed,
         args.restarts,
         args.matching_budget,
-        workers=args.workers,
         progress=progress if not args.quiet else None,
     )
     search_info = {
@@ -339,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--C", type=float, default=None, help="threshold constant override")
     c.add_argument("--seed", type=_seed, default=None, help="base seed (random if omitted)")
     c.add_argument("--restarts", type=int, default=100, help="additional attempts after the first")
-    c.add_argument("--workers", type=int, default=1)
+    c.add_argument("--workers", type=int, default=1, help="accepted for compatibility; attempts always run in this process")
     c.add_argument("--matching-budget", type=int, default=MATCHING_BUDGET, help="search nodes per matching call")
     c.add_argument("--out", type=Path, default=Path("certificate.json"))
     c.add_argument("--quiet", action="store_true")

@@ -4,7 +4,7 @@ built on. A graph is canonical as its neighbour bitmasks, which the
 2-section and the complement build directly; its edge list is derived.
 
 All values are immutable after construction and every operation is a pure
-function, so they can be shared freely across parallel workers.
+function.
 """
 
 from __future__ import annotations

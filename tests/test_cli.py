@@ -461,6 +461,14 @@ def test_cli_construct_usage_errors(tmp_path):
     assert exc.value.code == 1
 
 
+def test_construct_refuses_zero_workers_and_negative_restarts(capsys):
+    # --workers does not change how attempts run, yet a value below 1 is
+    # refused like a negative restart count.
+    for flag, value in [("--workers", "0"), ("--restarts", "-1")]:
+        assert main(["construct", "--r", "1", "--k", "3", flag, value]) == 1
+        assert capsys.readouterr().err == "error: budgets and worker count must be positive\n"
+
+
 def test_cli_construct_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["construct", "--r", "1", "--k", "2", "--seed", "11", "--restarts", "3", "--quiet"]
@@ -469,53 +477,18 @@ def test_cli_construct_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def _search_with_progress(k: int, C: float | None, seed: int, workers: int):
-    seen = []
-    cert, ok, idx = run_construct_search(
-        1, k, C, seed, restarts=9, budget=MATCHING_BUDGET, workers=workers,
-        progress=lambda attempt, score: seen.append((attempt, score)),
-    )
-    return certificate_to_json(cert), ok, idx, seen
-
-
-def test_parallel_matches_serial():
+def test_search_reports_attempts_in_order():
     # With C = 1 the samples are sparse enough that scores differ, and the
     # best attempt is not the first.
     for k, C, seed in [(2, None, 13), (3, 1.0, 2)]:
-        serial = _search_with_progress(k, C, seed, workers=1)
-        assert _search_with_progress(k, C, seed, workers=2) == serial
-        _, ok, idx, seen = serial
+        seen = []
+        _, ok, idx = run_construct_search(
+            1, k, C, seed, restarts=9, budget=MATCHING_BUDGET,
+            progress=lambda attempt, score: seen.append((attempt, score)),
+        )
         assert [attempt for attempt, _ in seen] == list(range(idx + 1 if ok else 10))
-
-
-def test_construct_pool_is_at_most_the_cpu_count(tmp_path, monkeypatch):
-    # A fork pool starts all its processes at the first submit, so --workers
-    # is capped at the core count. No process is started here: the fake
-    # pool maps in this process.
-    import concurrent.futures
-
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    argv = ["construct", "--r", "1", "--k", "3", "--C", "1.0", "--seed", "2", "--restarts", "9", "--quiet"]
-    many, one = tmp_path / "many.json", tmp_path / "one.json"
-    assert main([*argv, "--workers", "1000", "--out", str(many)]) == main([*argv, "--workers", "1", "--out", str(one)])
-    assert sizes and max(sizes) <= 2
-    assert many.read_bytes() == one.read_bytes()
+        scores = [score for _, score in seen]
+        assert idx == scores.index(max(scores))
 
 
 def test_search_derives_params_and_base_pool_once(monkeypatch):
@@ -539,7 +512,7 @@ def test_search_derives_params_and_base_pool_once(monkeypatch):
 def test_search_produces_jobs_lazily(monkeypatch):
     # A million restarts as a list of jobs would be about 120 MB before the
     # first attempt; produced lazily, a success at index 0 costs nothing.
-    monkeypatch.setattr(cli, "_attempt_summary", lambda job: (job[2], 3))
+    monkeypatch.setattr(cli, "_attempt_summary", lambda params, base_seed, idx, budget: 3)
     tracemalloc.start()
     try:
         _, ok, idx = run_construct_search(1, 2, None, 5, restarts=10**6, budget=MATCHING_BUDGET)

@@ -28,7 +28,7 @@ def _full_summary(params, base_seed, idx, budget):
     cert = _attempt_certificate(params, base_seed, idx, budget, stop_early=True)
     score = cert.stages_passed()
     assert cert.conclusions.robust_to_r == (score == 3)
-    return idx, score
+    return score
 
 
 @pytest.mark.parametrize(
@@ -41,7 +41,7 @@ def test_streaming_summary_equals_full_path(k, attempts):
         assert params.q == 1.0
     for idx in range(attempts):
         job = (params, 20261018, idx, MATCHING_BUDGET)
-        assert _attempt_summary(job) == _full_summary(*job)
+        assert _attempt_summary(*job) == _full_summary(*job)
 
 
 def test_streaming_falls_back_when_sparsity_passes():
@@ -52,11 +52,11 @@ def test_streaming_falls_back_when_sparsity_passes():
     fallbacks = passed = 0
     for idx in range(40):
         job = (params, 7, idx, MATCHING_BUDGET)
-        summary = _attempt_summary(job)
-        assert summary == _full_summary(*job)
+        score = _attempt_summary(*job)
+        assert score == _full_summary(*job)
         if not sample_fails_sparsity(params.n, params.s, params.q, params.m, derive_seed(7, idx)):
             fallbacks += 1
-            passed += summary[1] >= 1
+            passed += score >= 1
     assert fallbacks >= 5 and passed >= 1
 
 
@@ -98,7 +98,7 @@ def test_construct_report_bytes_equal_across_workers(tmp_path):
 
 def test_commands_run_without_numpy(tmp_path):
     # numpy is a test-only dependency: with every import of it failing,
-    # each command still runs, and one worker loads no process pool.
+    # each command still runs, and no worker count loads a process pool.
     report = tmp_path / "report.json"
     script = f"""
 import sys
@@ -111,6 +111,8 @@ assert main(["sweep", "--s", "3", "--n", "6,9", "--p", "0,0.2,0.5", "--samples",
 for suite, size in [("obs1", ["--max-n", "4"]), ("blocks", ["--max-n", "4"]), ("edgebound", ["--count", "10"]),
                     ("sparsity-oracle", ["--count", "10"]), ("matching-oracle", ["--count", "5"])]:
     assert main(["lemma-check", "--suite", suite, *size]) == 0, suite
+assert main(["construct", "--r", "1", "--k", "6", "--seed", "3", "--restarts", "20",
+             "--workers", "2", "--quiet", "--out", {str(report)!r}]) == 2
 print("concurrent.futures.process" in sys.modules)
 """
     src = str(Path(critgraph.__file__).resolve().parent.parent)
