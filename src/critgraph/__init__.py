@@ -20,7 +20,6 @@ from .matching import (
     SearchBudgetExceeded,
     all_deletions_matchable,
     find_perfect_matching,
-    matching_to_coloring,
 )
 from .sampling import (
     ConstructionParams,
@@ -50,7 +49,6 @@ __all__ = [
     "derive_params",
     "excess",
     "find_perfect_matching",
-    "matching_to_coloring",
     "min_subset_edges",
     "pm_threshold_sweep",
     "sample_hypergraph",

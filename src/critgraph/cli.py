@@ -26,6 +26,7 @@ from .lemmas import CapExceeded, RequestRefused
 from .matching import MATCHING_BUDGET, SearchBudgetExceeded
 from .sampling import (
     ConstructionParams,
+    check_unrank_table,
     derive_params,
     derive_seed,
     pm_threshold_sweep,
@@ -135,6 +136,7 @@ def _cmd_construct(args) -> int:
         return EXIT_USAGE
     try:
         params = derive_params(args.r, args.k, args.C)
+        check_unrank_table(params.n, params.s)
     except (ValueError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

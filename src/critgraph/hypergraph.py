@@ -54,11 +54,6 @@ class Hypergraph:
         object.__setattr__(h, "edges", edges)
         return h
 
-    def __getstate__(self) -> dict:
-        # Only the fields: cached views stay out of pickles, so equal
-        # hypergraphs pickle to equal bytes whatever has been computed.
-        return {"n": self.n, "edges": self.edges}
-
     @cached_property
     def edge_masks(self) -> tuple[int, ...]:
         """Each edge as a vertex bitmask (bit v set iff v in the edge)."""
@@ -147,10 +142,6 @@ class Graph:
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "adjacency_masks", masks)
         return g
-
-    def __getstate__(self) -> dict:
-        # Only the fields, as for Hypergraph.
-        return {"n": self.n, "adjacency_masks": self.adjacency_masks}
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:

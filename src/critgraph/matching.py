@@ -213,16 +213,3 @@ def all_deletions_matchable(
     all_ok = all(o.status == MATCHED for o in per_vertex.values())
     return MatchabilityReport(per_vertex=per_vertex, all_matchable=all_ok)
 
-
-def matching_to_coloring(m: Matching, removed: int, n: int) -> dict[int, int]:
-    """Color class i = vertices of the i-th matching edge; a proper
-    coloring of the complement construction minus `removed`, using
-    exactly (n - 1) / s colors."""
-    expected = set(range(n)) - {removed}
-    if set(m.covered) != expected:
-        raise ValueError("matching does not partition the vertex set minus the removed vertex")
-    coloring: dict[int, int] = {}
-    for i, e in enumerate(m.edges):
-        for v in e:
-            coloring[v] = i
-    return coloring

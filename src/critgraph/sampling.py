@@ -319,11 +319,28 @@ def _uniforms(seed: int) -> Iterator[float]:
         yield (c3 >> 11) * scale
 
 
+#: Most entries an unranking table may hold, s(n + 1) for the s-subsets of
+#: [0, n); a table at the cap takes about 60 MB. Commands refuse a larger
+#: n up front, before any work.
+UNRANK_TABLE_CAP = 2**20
+
+
+def check_unrank_table(n: int, s: int, error: type[ValueError] = ValueError) -> None:
+    """Raise `error`, naming the cap, when the unranking table of the
+    s-subsets of [0, n) would hold more than UNRANK_TABLE_CAP entries."""
+    if s * (n + 1) > UNRANK_TABLE_CAP:
+        raise error(
+            f"the unranking table for n={n}, s={s} would hold s(n + 1) = {s * (n + 1)} "
+            f"entries, past the cap of {UNRANK_TABLE_CAP}"
+        )
+
+
 @lru_cache(maxsize=64)
 def _offset_table(n: int, s: int) -> tuple[tuple[int, ...], ...]:
     """Row i holds the lexicographic offset of coordinate i: entry x is
     sum_{y<x} C(n-1-y, s-1-i), the number of s-subsets ranked before
     those whose i-th element is x (given the same earlier elements)."""
+    check_unrank_table(n, s)
     rows = []
     for i in range(s):
         row = [0]
@@ -504,6 +521,7 @@ def pm_threshold_sweep(
             raise ValueError(f"need n >= s={s}, got n={n}")
         if n % s != 0:
             raise ValueError(f"n={n} not divisible by s={s}")
+        check_unrank_table(n, s)
     levels = sorted(p_grid)
     if any(not 0.0 <= p <= 1.0 for p in levels):
         raise ValueError("probability out of range")

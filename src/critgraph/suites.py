@@ -26,7 +26,7 @@ from .lemmas import (
     require_within_cap,
 )
 from .matching import find_perfect_matching
-from .sampling import _uniforms, _unrank_sorted, derive_seed
+from .sampling import _uniforms, _unrank_sorted, check_unrank_table, derive_seed
 from .sparsity import brute_force_sparsity, check_sparsity, violator_problems
 
 
@@ -325,6 +325,7 @@ def two_section_bound_suite(
     pass the hypothesis within max_attempts draws."""
     _at_least("count", count, 1)
     _at_least("max_n", max_n, s + 4)
+    check_unrank_table(max_n, s, RequestRefused)
     report = SuiteReport("edgebound")
     attempt = 0
     while report.checked < count and attempt < max_attempts:
@@ -363,6 +364,7 @@ def sparsity_oracle_suite(
     check_certificate applies to a stored violator."""
     _at_least("count", count, 1)
     _at_least("max_n", max_n, s + 2)
+    check_unrank_table(max_n, s, RequestRefused)
     report = SuiteReport("sparsity-oracle")
     for i in range(count):
         draws = _uniforms(derive_seed(seed, i))
@@ -396,6 +398,7 @@ def matching_oracle_suite(
     edges, which bounds the enumeration whatever max_n is."""
     _at_least("count_per_s", count_per_s, 1)
     _at_least("max_n", max_n, max(uniformities))
+    check_unrank_table(max_n, max(uniformities), RequestRefused)
     report = SuiteReport("matching-oracle")
     for s in uniformities:
         for i in range(count_per_s):

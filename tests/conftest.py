@@ -14,7 +14,7 @@ from itertools import combinations
 import hypothesis.strategies as st
 from hypothesis import assume, settings
 
-from critgraph.hypergraph import Graph, Hypergraph
+from critgraph.hypergraph import Graph, Hypergraph, Matching
 
 # No per-example deadline for any property test: on a loaded machine a slow
 # example is load, not a regression, and the suite's timing checks are
@@ -152,6 +152,20 @@ def brute_force_chromatic(g: Graph) -> int:
         return best
 
     return chi(full)
+
+
+def matching_to_coloring(m: Matching, removed: int, n: int) -> dict[int, int]:
+    """Color class i = vertices of the i-th matching edge; a proper
+    coloring of the complement construction minus `removed`, using
+    exactly (n - 1) / s colors."""
+    expected = set(range(n)) - {removed}
+    if set(m.covered) != expected:
+        raise ValueError("matching does not partition the vertex set minus the removed vertex")
+    coloring: dict[int, int] = {}
+    for i, e in enumerate(m.edges):
+        for v in e:
+            coloring[v] = i
+    return coloring
 
 
 def is_proper_coloring(g: Graph, coloring: dict[int, int], skip: set[int] | None = None) -> bool:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from critgraph.certformat import read_certificate
 from critgraph.cli import main
-from critgraph.matching import all_deletions_matchable, matching_to_coloring
+from critgraph.matching import all_deletions_matchable
 from critgraph.sampling import derive_params, derive_seed, pm_threshold_sweep, sample_hypergraph
 from critgraph.sparsity import check_sparsity
 from critgraph.suites import (
@@ -36,7 +36,7 @@ from critgraph.suites import (
 )
 
 from chromatic import exact_chromatic, exact_independence
-from conftest import is_proper_coloring
+from conftest import is_proper_coloring, matching_to_coloring
 
 DATA = Path(__file__).parent / "data"
 

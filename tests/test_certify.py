@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 from itertools import combinations, product
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+import reference_certify
+from critgraph.certformat import certificate_from_dict, certificate_to_dict
 from critgraph.certify import (
     Certificate,
     Conclusions,
@@ -15,12 +20,12 @@ from critgraph.certify import (
     verify_construction,
 )
 from critgraph.hypergraph import Graph, Hypergraph, complement, two_section
-from critgraph.matching import MATCHED, MatchabilityReport, VertexOutcome
+from critgraph.matching import CORRUPT, MATCHED, MatchabilityReport, VertexOutcome
 from critgraph.sampling import derive_params, derive_seed, sample_hypergraph
 from critgraph.sparsity import SparsityVerdict, Violator, check_sparsity
 
 from chromatic import cross_check_with_oracles, exact_chromatic, exact_independence
-from conftest import is_proper_coloring
+from conftest import is_proper_coloring, matching_to_coloring
 from graph_ops import delete_edges
 
 
@@ -213,6 +218,82 @@ def test_check_certificate_catches_tampered_matching():
     assert good.matching != wrong
 
 
+# The witness check accepts a matched witness as hyperedges of H covering
+# exactly V - v. The check that re-colored G - v from it and walked every
+# edge of G is the oracle: on certificates with consistent params the two
+# must give the same (ok, reasons) however the witnesses are tampered with.
+
+
+@st.composite
+def all_matched_documents(draw):
+    """The document of a certificate whose every deletion is matched: H
+    holds, for each vertex v, a random partition of V - v into s-sets."""
+    params = derive_params(*draw(st.sampled_from([(1, 2), (1, 3), (1, 4), (2, 2), (2, 3)])))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = set()
+    for v in range(params.n):
+        rest = [u for u in range(params.n) if u != v]
+        rng.shuffle(rest)
+        edges.update(tuple(sorted(rest[i : i + params.s])) for i in range(0, params.n - 1, params.s))
+    cert = verify_construction(Hypergraph(params.n, edges), params, seed=0)
+    assert cert.matchability.all_matchable
+    return certificate_to_dict(cert)
+
+
+WITNESS_MUTATIONS = (
+    "non-edge", "drop vertex", "add vertex", "drop edge", "exchange",
+    "status", "all_matchable", "remove entry", "overlap",
+)
+
+
+def _mutate_witnesses(doc: dict, kind: str, rng: random.Random) -> None:
+    report = doc["matchability"]
+    entries = report["per_vertex"]
+    if kind == "all_matchable":
+        report["all_matchable"] = not report["all_matchable"]
+        return
+    witnessed = [e for e in entries if e["matching"]]
+    if not witnessed:
+        return
+    entry = rng.choice(witnessed)
+    v, witness = entry["vertex"], entry["matching"]
+    row = rng.choice(witness)
+    if kind == "non-edge":  # an s-set holding the deleted vertex
+        row[rng.randrange(len(row))] = v
+        row.sort()
+    elif kind == "drop vertex":
+        row.remove(rng.choice(row))
+    elif kind == "add vertex":
+        row.append(rng.randrange(doc["params"]["n"]))
+        row.sort()
+    elif kind == "drop edge":
+        witness.remove(row)
+    elif kind == "exchange":
+        other = rng.choice(entries)
+        entry["matching"], other["matching"] = other["matching"], witness
+    elif kind == "status":
+        entry["status"] = rng.choice(["unmatchable", "timeout", "skipped", "corrupt"])
+        if rng.random() < 0.5:
+            entry["matching"] = None
+    elif kind == "remove entry":
+        entries.remove(entry)
+    elif kind == "overlap":  # two rows sharing a vertex
+        witness.append(list(row))
+
+
+@settings(max_examples=150, deadline=None)
+@given(all_matched_documents(), st.lists(st.sampled_from(WITNESS_MUTATIONS), max_size=3), st.randoms())
+def test_witness_check_equals_the_recoloring_check(doc, kinds, rng):
+    for kind in kinds:
+        _mutate_witnesses(doc, kind, rng)
+    cert = certificate_from_dict(doc)
+    if kinds == ["overlap"]:
+        assert CORRUPT in {o.status for o in cert.matchability.per_vertex.values()}
+    assert check_certificate(cert) == reference_certify.check_certificate(cert)
+    if not kinds:
+        assert check_certificate(cert) == (True, [])
+
+
 def test_check_certificate_catches_wrong_graph():
     cert = _certified_fixture()
     tampered = replace(cert, graph=complete_graph(cert.graph.n))
@@ -311,7 +392,7 @@ def test_soundness_chain_on_synthetic_robust_instance():
     g = complement(two_section(h))
     verdict = check_sparsity(h, 8, 2)
     assert verdict.holds  # pairs of cycle edges span >= 2 = (s-1)*2
-    from critgraph.matching import all_deletions_matchable, matching_to_coloring
+    from critgraph.matching import all_deletions_matchable
 
     report = all_deletions_matchable(h)
     assert report.all_matchable

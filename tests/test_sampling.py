@@ -3,7 +3,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import pickle
 from itertools import combinations
 from pathlib import Path
 
@@ -288,6 +287,25 @@ def test_unrank_sorted_beyond_64_bits():
     assert list(_unrank_sorted([total - 1], n, s)) == [tuple(range(n - s, n))]
 
 
+def test_unranking_table_cap_is_checked_before_the_table(monkeypatch):
+    cap = sampling.UNRANK_TABLE_CAP
+    sampling.check_unrank_table(cap // 4 - 1, 4)  # exactly at the cap
+    # The largest size a test, recipe or workload uses stays well inside it.
+    sampling.check_unrank_table(20000, 4)
+    with pytest.raises(ValueError, match=f"past the cap of {cap}$"):
+        sampling.check_unrank_table(cap // 4, 4)
+    # The library refuses before building a row, and the sweep before its
+    # first sample. A small cap keeps a missing check from building a huge
+    # table in this process.
+    monkeypatch.setattr(sampling, "UNRANK_TABLE_CAP", 40)
+    sampling._offset_table.cache_clear()
+    with pytest.raises(ValueError, match="unranking table for n=13, s=3"):
+        next(_unrank_sorted([0], 13, 3))
+    monkeypatch.setattr(sampling, "_uniforms", None)  # a sample drawn first raises TypeError
+    with pytest.raises(ValueError, match="n=15, s=3 .* past the cap of 40$"):
+        pm_threshold_sweep(3, [6, 15], [0.1], 1, 1)
+
+
 @given(
     st.integers(0, 2**64 - 1),
     # Below about 2e-307 the reference overflows; see test_sample_subnormal_p.
@@ -395,7 +413,6 @@ def test_uniforms_equal_numpy_philox_random_seeds(seed, count):
 
 def _same_value(fast: Hypergraph, checked: Hypergraph) -> None:
     assert fast == checked and hash(fast) == hash(checked)
-    assert pickle.dumps(fast) == pickle.dumps(checked)
     assert type(fast.edges) is tuple and all(type(e) is tuple for e in fast.edges)
 
 
