@@ -118,12 +118,16 @@ def run_construct_search(
     return cert, False, best_idx
 
 
-def _no_out_directory(out: Path) -> bool:
-    """True, after printing the error, when out's parent is not a
-    directory: a command refuses before its work, not after it."""
-    if out.parent.is_dir():
+def _refuse_out(out: Path) -> bool:
+    """True, after printing the error, when out is a directory or its
+    parent is not one: a command refuses before its work, not after it."""
+    if out.is_dir():
+        reason = "Is a directory"
+    elif not out.parent.is_dir():
+        reason = f"{out.parent} is not a directory"
+    else:
         return False
-    print(f"error: cannot write {out}: {out.parent} is not a directory", file=sys.stderr)
+    print(f"error: cannot write {out}: {reason}", file=sys.stderr)
     return True
 
 
@@ -140,7 +144,7 @@ def _cmd_construct(args) -> int:
     except (ValueError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    if _no_out_directory(args.out):
+    if _refuse_out(args.out):
         return EXIT_USAGE
     base_seed = args.seed if args.seed is not None else secrets.randbits(64)
     print(
@@ -277,7 +281,7 @@ def _cmd_sweep(args) -> int:
     if args.samples < 1:
         print("error: need --samples >= 1", file=sys.stderr)
         return EXIT_USAGE
-    if args.out and _no_out_directory(args.out):
+    if args.out and _refuse_out(args.out):
         return EXIT_USAGE
     seed = args.seed if args.seed is not None else secrets.randbits(64)
     try:

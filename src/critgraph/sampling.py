@@ -59,6 +59,8 @@ DEFAULT_C_FACTOR = 2.0
 
 def default_constant(s: int) -> float:
     """Default threshold constant C = 2 * (s-1)!."""
+    if s - 1 > 170:  # 171! has no float value
+        raise OverflowError(f"the threshold constant 2 * (s-1)! overflows a float at s={s}")
     return DEFAULT_C_FACTOR * math.factorial(s - 1)
 
 
@@ -108,14 +110,9 @@ class ConstructionParams:
             raise ValueError(f"inconsistent derived fields: {', '.join(bad)}")
 
     def _p_matches(self) -> bool:
-        n, s = self.n - 1, self.s
-        # n^(s-1) >= 2^((s-1)(bits(n)-1)); from 2^1024 on it has no float
-        # value, so shamir_p could not have derived any p.
-        if n < 2 or s < 2 or (s - 1) * (n.bit_length() - 1) >= 1024:
-            return False
         try:
-            return self.p == shamir_p(n, s, self.C)
-        except OverflowError:
+            return self.p == shamir_p(self.n - 1, self.s, self.C)
+        except (ValueError, OverflowError):
             return False
 
 
@@ -132,6 +129,10 @@ def shamir_p(n: int, s: int, C: float) -> float:
         raise ValueError(f"need n >= 2, got {n}")
     if s < 2:
         raise ValueError(f"need s >= 2, got {s}")
+    # n^(s-1) >= 2^((s-1)(bits(n)-1)), which from 2^1024 on has no float
+    # value; test that before the power is formed.
+    if (s - 1) * (n.bit_length() - 1) >= 1024:
+        raise OverflowError(f"n^(s-1) overflows a float at n={n}, s={s}")
     return min(1.0, C * math.log(n) / n ** (s - 1))
 
 

@@ -3,12 +3,12 @@ hyperedges must span at least (s-1)|F| vertices. The checker returns an
 inclusion-minimal violating edge set when the condition fails, and a
 brute-force enumerator serves as its validation oracle.
 
-The search is exponential in the window, but it only ever looks at the
-2-core of the vertex-edge incidence graph, where every inclusion-minimal
-violator lies; hypertrees and other tree-like parts peel away in linear
-time, with the same verdicts and the same witnesses as a search over all
-edges. A core whose components each have cycle rank at most 1 (a Berge
-cycle, a hypertree with one chord) holds without any search.
+The search is exponential in the window, but it only ever looks where an
+inclusion-minimal violator can lie: in the intersection components of
+cycle rank at least 2, peeled to the 2-core of their vertex-edge
+incidence graph. It gives the same verdicts and the same witnesses as a
+search over all edges. A hypertree, a Berge cycle or a hypertree with one
+chord has no such component, so it holds without a peel or a search.
 """
 
 from __future__ import annotations
@@ -94,47 +94,19 @@ def _incidence_core(masks) -> list[int]:
     meets the rest of F in at least 2 vertices, and none of them is ever
     the first of F to be dropped.
 
-    An edge shares the vertices it has in `twice`, the vertices of at
-    least two edges. When some edge shares at most one, per-vertex holder
-    counts and a worklist finish the peel in time linear in the total edge
-    size: an edge is queued once, when its shared count falls to 1 (or
-    starts at most 1). Over-dense prefixes usually peel nothing and stop
-    after the first pass.
+    Each round finds the vertices held by two or more kept edges and drops
+    every edge with fewer than two of them, until a round drops nothing.
     """
-    once = twice = 0
-    for mask in masks:
-        twice |= once & mask
-        once |= mask
-    shared = [(mask & twice).bit_count() for mask in masks]
-    stack = [i for i, t in enumerate(shared) if t <= 1]
-    if not stack:
-        return list(range(len(masks)))
-    holders: dict[int, list[int]] = {}
-    for i, mask in enumerate(masks):
-        mask &= twice
-        while mask:
-            bit = mask & -mask
-            holders.setdefault(bit, []).append(i)
-            mask ^= bit
-    count = {bit: len(edges) for bit, edges in holders.items()}
-    alive = [True] * len(masks)
-    while stack:
-        i = stack.pop()
-        alive[i] = False
-        mask = masks[i] & twice
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            count[bit] -= 1
-            if count[bit] == 1:
-                # The last holder of this vertex no longer shares it.
-                for j in holders[bit]:
-                    if alive[j]:
-                        shared[j] -= 1
-                        if shared[j] == 1:
-                            stack.append(j)
-                        break
-    return [i for i, keep in enumerate(alive) if keep]
+    core = list(range(len(masks)))
+    while True:
+        once = twice = 0
+        for i in core:
+            twice |= once & masks[i]
+            once |= masks[i]
+        kept = [i for i in core if (masks[i] & twice).bit_count() >= 2]
+        if len(kept) == len(core):
+            return core
+        core = kept
 
 
 def _min_cardinality_violator(masks, limit: int, s: int) -> list[int] | None:
@@ -153,22 +125,24 @@ def _min_cardinality_violator(masks, limit: int, s: int) -> list[int] | None:
     is therefore inclusion-minimal: every proper subset is smaller and was
     cleared.
 
-    The search runs on the incidence 2-core of `masks` only (see
-    _incidence_core), in ascending original index, with `limit` capped at
-    the core size, and maps the positions it finds back. It returns
-    exactly what the search over all of `masks` would, tuple order
-    included: a candidate set is always the list of chosen edges, so a set
-    made only of core edges is reached along the same path and in the same
-    relative order, the peeled edges having added only branches and
-    forbidden entries that such a set never uses. The first violator the
-    full search meets has minimum cardinality, hence lies in the core, and
+    An inclusion-minimal violator F is connected with cycle rank
+    β(F) >= 2, so it lies in an intersection component of cycle rank
+    β >= 2 (see cycle_ranks), and in the incidence 2-core (see
+    _incidence_core). The search runs on the core of those components'
+    edges only, in ascending original index, with `limit` capped at its
+    size, and maps the positions it finds back. It returns exactly what
+    the search over all of `masks` would, tuple order included: a
+    candidate set is always the list of chosen edges, so a set made only
+    of kept edges is reached along the same path and in the same relative
+    order, the dropped edges having added only branches and forbidden
+    entries that such a set never uses. The first violator the full
+    search meets has minimum cardinality, hence lies in what is kept, and
     is met first here too.
     """
-    core = _incidence_core(masks)
+    cyclic = [comp for comp, beta in cycle_ranks(masks) if beta >= 2]
+    kept = [i for i, mask in enumerate(masks) if any(mask & comp for comp in cyclic)]
+    core = [kept[i] for i in _incidence_core([masks[i] for i in kept])]
     masks = [masks[i] for i in core]
-    # No F inside a core component of cycle rank <= 1 violates.
-    if all(beta <= 1 for _, beta in cycle_ranks(masks)):
-        return None
     limit = min(limit, len(masks))
     n_edges = len(masks)
 
@@ -216,8 +190,8 @@ def check_sparsity(h: Hypergraph, m: int, s: int) -> SparsityVerdict:
     exists among the first f edges alone and the search is confined to
     them. A cardinality-minimal violator found there is still
     inclusion-minimal in the whole hypergraph: violating depends only on
-    the edge set itself. Only that prefix is peeled to its incidence
-    2-core, so rejecting a sample of any size peels f edges.
+    the edge set itself. Only that prefix is filtered and peeled, so
+    rejecting a sample of any size looks at f edges.
     """
     if not h.is_uniform(s):
         raise ValueError(f"hypergraph is not {s}-uniform")
@@ -227,17 +201,16 @@ def check_sparsity(h: Hypergraph, m: int, s: int) -> SparsityVerdict:
         raise ValueError(f"need s >= 2, got s={s}")
 
     masks = h.edge_masks
+    limit = min(m, len(masks))
     forced = forced_violator_size(h.n, s)
-    if forced <= m and len(masks) >= forced:
-        found = _min_cardinality_violator(masks[:forced], limit=forced, s=s)
-        if found is None:
-            raise RuntimeError("counting bound guarantees a violator in the prefix")
-        return SparsityVerdict(False, Violator(tuple(found), union_size(h, found)), m=m, s=s)
-
-    found = _min_cardinality_violator(masks, limit=min(m, len(masks)), s=s)
-    if found is None:
-        return SparsityVerdict(True, None, m=m, s=s)
-    return SparsityVerdict(False, Violator(tuple(found), union_size(h, found)), m=m, s=s)
+    dense = forced <= limit
+    if dense:
+        masks, limit = masks[:forced], forced
+    found = _min_cardinality_violator(masks, limit=limit, s=s)
+    if found is None and dense:
+        raise RuntimeError("counting bound guarantees a violator in the prefix")
+    violator = None if found is None else Violator(tuple(found), union_size(h, found))
+    return SparsityVerdict(found is None, violator, m=m, s=s)
 
 
 def brute_force_sparsity(h: Hypergraph, m: int, s: int, cap: int = 2_000_000) -> SparsityVerdict:

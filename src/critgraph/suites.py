@@ -51,6 +51,13 @@ class SuiteReport:
         }
 
 
+# The fixed shapes of the randomized suites' instances: lemma-check sets
+# only their count, seed and max_n.
+EDGEBOUND_S = 3
+SPARSITY_ORACLE_S, SPARSITY_ORACLE_M, SPARSITY_ORACLE_MAX_EDGES = 3, 16, 12
+MATCHING_ORACLE_UNIFORMITIES, MATCHING_ORACLE_MAX_EDGES = (2, 3, 4), 18
+
+
 def _at_least(name: str, value: int, low: int) -> None:
     if value < low:
         raise RequestRefused(f"{name} must be at least {low}, got {value}")
@@ -317,12 +324,13 @@ def _random_uniform_hypergraph(draws: Iterator[float], n: int, s: int, edge_coun
 
 
 def two_section_bound_suite(
-    count: int = 200, seed: int = 0, max_n: int = 14, s: int = 3, max_attempts: int = 20000
+    count: int = 200, seed: int = 0, max_n: int = 14, max_attempts: int = 20000
 ) -> SuiteReport:
-    """Random s-uniform instances that pass the sparsity window check must
-    have every (s+1)-subset of the 2-section inducing at most
-    C(s,2) + 2 edges. Raises CapExceeded when fewer than `count` instances
-    pass the hypothesis within max_attempts draws."""
+    """Random s-uniform instances (s = EDGEBOUND_S) that pass the sparsity
+    window check must have every (s+1)-subset of the 2-section inducing at
+    most C(s,2) + 2 edges. Raises CapExceeded when fewer than `count`
+    instances pass the hypothesis within max_attempts draws."""
+    s = EDGEBOUND_S
     _at_least("count", count, 1)
     _at_least("max_n", max_n, s + 4)
     check_unrank_table(max_n, s, RequestRefused)
@@ -356,12 +364,11 @@ def two_section_bound_suite(
     return report
 
 
-def sparsity_oracle_suite(
-    count: int = 200, seed: int = 1, max_n: int = 14, s: int = 3, m: int = 16, max_edge_count: int = 12
-) -> SuiteReport:
+def sparsity_oracle_suite(count: int = 200, seed: int = 1, max_n: int = 14) -> SuiteReport:
     """check_sparsity must agree with brute-force enumeration, and every
     reported violator must pass sparsity.violator_problems, the check
     check_certificate applies to a stored violator."""
+    s, m = SPARSITY_ORACLE_S, SPARSITY_ORACLE_M
     _at_least("count", count, 1)
     _at_least("max_n", max_n, s + 2)
     check_unrank_table(max_n, s, RequestRefused)
@@ -369,7 +376,7 @@ def sparsity_oracle_suite(
     for i in range(count):
         draws = _uniforms(derive_seed(seed, i))
         n = s + 2 + _below(draws, max_n - s - 1)
-        h = _random_uniform_hypergraph(draws, n, s, 1 + _below(draws, max_edge_count))
+        h = _random_uniform_hypergraph(draws, n, s, 1 + _below(draws, SPARSITY_ORACLE_MAX_EDGES))
         fast = check_sparsity(h, m, s)
         slow = brute_force_sparsity(h, m, s)
         report.checked += 1
@@ -385,26 +392,21 @@ def sparsity_oracle_suite(
     return report
 
 
-def matching_oracle_suite(
-    count_per_s: int = 200,
-    seed: int = 2,
-    max_n: int = 12,
-    uniformities: tuple[int, ...] = (2, 3, 4),
-    max_oracle_edges: int = 18,
-) -> SuiteReport:
+def matching_oracle_suite(count_per_s: int = 200, seed: int = 2, max_n: int = 12) -> SuiteReport:
     """Solver verdict must equal exhaustive enumeration over all edge
     subsets of the right cardinality, and every witness must re-validate
-    as a disjoint cover. Each instance draws at most max_oracle_edges
-    edges, which bounds the enumeration whatever max_n is."""
+    as a disjoint cover. Each instance draws at most
+    MATCHING_ORACLE_MAX_EDGES edges, which bounds the enumeration whatever
+    max_n is."""
     _at_least("count_per_s", count_per_s, 1)
-    _at_least("max_n", max_n, max(uniformities))
-    check_unrank_table(max_n, max(uniformities), RequestRefused)
+    _at_least("max_n", max_n, max(MATCHING_ORACLE_UNIFORMITIES))
+    check_unrank_table(max_n, max(MATCHING_ORACLE_UNIFORMITIES), RequestRefused)
     report = SuiteReport("matching-oracle")
-    for s in uniformities:
+    for s in MATCHING_ORACLE_UNIFORMITIES:
         for i in range(count_per_s):
             draws = _uniforms(derive_seed(seed, s, i))
             n = s + _below(draws, max_n - s + 1)
-            edges = 1 + _below(draws, min(max_oracle_edges, max(1, 3 * n // s - 1)))
+            edges = 1 + _below(draws, min(MATCHING_ORACLE_MAX_EDGES, max(1, 3 * n // s - 1)))
             h = _random_uniform_hypergraph(draws, n, s, edges)
             found = find_perfect_matching(h)
             expected = _matching_exists_oracle(h, s)

@@ -68,15 +68,29 @@ def linear_hypertrees(draw, s: int = 3, max_edges: int = 8):
     return Hypergraph(n, [tuple(labels[v] for v in e) for e in edges])
 
 
+def berge_chains(s: int, chains) -> tuple[int, list[tuple[int, ...]]]:
+    """(vertex count, edges) of s-uniform Berge chains between branch
+    vertices 0, 1, ...: a chain (u, v, length) is `length` edges from u to
+    v, consecutive edges sharing one new vertex, each edge with s - 2
+    private vertices. A chain (u, u, length) is a Berge cycle through u."""
+    n = 1 + max(max(u, v) for u, v, _ in chains)
+    edges = []
+    for u, v, length in chains:
+        path = [u, *range(n, n + length - 1), v]
+        n += length - 1
+        for a, b in zip(path, path[1:]):
+            edges.append((a, b, *range(n, n + s - 2)))
+            n += s - 2
+    return n, edges
+
+
 def berge_cycle(s: int, length: int, labels=None) -> Hypergraph:
-    """The s-uniform Berge cycle whose edge i holds cycle vertices i and
-    i+1 (mod length) plus s-2 private vertices: every edge meets the others
-    in exactly 2 vertices, the incidence graph is one cycle (cycle rank 1),
-    and sparsity holds at every window. `labels` relabels the vertices."""
-    n = length * (s - 1)
+    """The s-uniform Berge cycle of `length` edges (see berge_chains):
+    every edge meets the others in exactly 2 vertices, the incidence graph
+    is one cycle (cycle rank 1), and sparsity holds at every window.
+    `labels` relabels the vertices."""
+    n, edges = berge_chains(s, [(0, 0, length)])
     labels = labels or range(n)
-    private = iter(range(length, n))
-    edges = [(i, (i + 1) % length, *(next(private) for _ in range(s - 2))) for i in range(length)]
     return Hypergraph(n, [tuple(labels[v] for v in e) for e in edges])
 
 
@@ -98,6 +112,35 @@ def hypertrees_with_chord(draw, s: int = 3, max_edges: int = 8):
     chord = tuple(sorted([*old, *range(tree.n, tree.n + s - t)]))
     assume(chord not in tree.edges)
     return Hypergraph(tree.n + s - t, [*tree.edges, chord])
+
+
+@st.composite
+def bicycles_beside_trees(draw, s: int = 3):
+    """A theta, dumbbell or figure-eight of Berge chains (cycle rank 2),
+    beside a disjoint Berge cycle (cycle rank 1), plus pendant edges that
+    each meet the earlier edges in one vertex, with vertex labels shuffled
+    so that the edge indices of the parts interleave. Returns the
+    hypergraph and the bicycle's edge count: the bicycle is the one
+    inclusion-minimal violator."""
+    shortest = 3 if s == 2 else 2  # the shortest Berge cycle of s-edges
+    loop = st.integers(shortest, 3)
+    shape = draw(st.sampled_from(["theta", "dumbbell", "figure-eight"]))
+    if shape == "theta":
+        lengths = draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))
+        assume(s > 2 or lengths.count(1) <= 1)  # no repeated 2-edge
+        chains = [(0, 1, length) for length in lengths]
+    elif shape == "dumbbell":
+        chains = [(0, 0, draw(loop)), (1, 1, draw(loop)), (0, 1, draw(st.integers(1, 2)))]
+    else:
+        chains = [(0, 0, draw(loop)), (0, 0, draw(loop))]
+    size = sum(length for _, _, length in chains)
+    cycle_node = 1 + max(v for _, v, _ in chains)
+    n, edges = berge_chains(s, [*chains, (cycle_node, cycle_node, draw(st.integers(shortest, 4)))])
+    for _ in range(draw(st.integers(0, 2))):
+        edges.append((draw(st.integers(0, n - 1)), *range(n, n + s - 1)))
+        n += s - 1
+    labels = draw(st.permutations(range(n)))
+    return Hypergraph(n, [tuple(labels[v] for v in e) for e in edges]), size
 
 
 def brute_force_independence(g: Graph) -> int:

@@ -76,7 +76,7 @@ def test_criterion_2_connected_bound_exhaustive():
 
 
 def test_criterion_3_two_section_edge_bound():
-    report = two_section_bound_suite(count=200, seed=0, max_n=14, s=3)
+    report = two_section_bound_suite(count=200, seed=0, max_n=14)
     _report(
         3,
         report.passed,
@@ -99,7 +99,7 @@ def test_criterion_4_matching_oracle_equivalence():
 
 
 def test_criterion_5_sparsity_oracle_equivalence():
-    report = sparsity_oracle_suite(count=200, seed=1, max_n=14, s=3, m=16, max_edge_count=12)
+    report = sparsity_oracle_suite(count=200, seed=1, max_n=14)
     _report(
         5,
         report.passed,

@@ -698,6 +698,20 @@ def test_cli_refuses_an_unranking_table_past_the_cap(argv, n, s, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["--r", "1000000"], "the threshold constant 2 * (s-1)! overflows a float at s=1000003"),
+     (["--r", "10000000", "--C", "1"], "n^(s-1) overflows a float at n=10000003, s=10000003")],
+)
+def test_cli_refuses_a_huge_r_before_the_big_arithmetic(argv, message, tmp_path):
+    out = tmp_path / "X.json"
+    argv = ["construct", *argv, "--k", "2", "--seed", "1", "--restarts", "0", "--out", str(out)]
+    code, stdout, stderr, elapsed = _limited_process(argv)
+    assert (code, stdout, stderr) == (1, "", f"error: {message}\n")
+    assert elapsed < 2.0
+    assert not out.exists()
+
+
 def test_cli_sweep_csv_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["sweep", "--s", "3", "--n", "6", "--p", "0,0.5,1", "--samples", "10", "--seed", "3"]
@@ -795,8 +809,22 @@ def test_construct_refuses_missing_out_directory_before_searching(tmp_path, caps
     assert captured.err == f"error: cannot write {out}: {out.parent} is not a directory\n"
 
 
+def test_out_that_is_a_directory_is_refused_before_the_work(tmp_path, capsys, monkeypatch):
+    def started(*args, **kwargs):
+        raise AssertionError("the command started its work")
+
+    monkeypatch.setattr(cli, "run_construct_search", started)
+    monkeypatch.setattr(cli, "pm_threshold_sweep", started)
+    sweep = ["sweep", "--s", "3", "--n", "6", "--p", "0.5", "--samples", "2", "--seed", "1"]
+    for argv in ([*_CONSTRUCT, "--out", str(tmp_path)], [*sweep, "--out", str(tmp_path)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+
 def test_unwritable_out_is_an_error_not_a_traceback(tmp_path, capsys):
-    # The parent exists but the target is a directory: the write itself fails.
+    # The parent exists but the target is a directory.
     target = tmp_path / "taken"
     target.mkdir()
     assert main(["construct", "--r", "1", "--k", "2", "--seed", "7", "--restarts", "0", "--out", str(target)]) == 1

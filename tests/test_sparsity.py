@@ -20,8 +20,10 @@ from critgraph.sparsity import (
 )
 
 from conftest import (
+    berge_chains,
     berge_cycle,
     berge_cycles,
+    bicycles_beside_trees,
     hypertrees_with_chord,
     linear_hypertrees,
     uniform_hypergraphs,
@@ -213,20 +215,46 @@ def test_peel_keeps_berge_cycle(s, length):
 
 
 @given(st.data())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_cycle_rank_families_equal_reference_and_brute_force(data):
     # Cores of cycle rank 1 (Berge cycles, hypertrees with a 2-vertex
     # chord) pass without a search; chords through 3 or more tree vertices
-    # do not, and the search must still find the same violator.
+    # do not, and the search must still find the same violator. A bicycle
+    # is searched without the Berge cycle and the pendant trees beside it,
+    # and m is drawn around its size, so the verdict flips within the draw.
     s = data.draw(st.integers(2, 5), label="s")
-    m = data.draw(st.integers(1, 16), label="m")
-    family = data.draw(st.sampled_from([berge_cycles, hypertrees_with_chord]), label="family")
-    h = data.draw(family(s=s), label="h")
+    family = data.draw(
+        st.sampled_from([berge_cycles, hypertrees_with_chord, bicycles_beside_trees]), label="family"
+    )
+    if family is bicycles_beside_trees:
+        h, size = data.draw(family(s=s), label="h")
+        m = data.draw(st.integers(max(1, size - 2), size + 2), label="m")
+    else:
+        h = data.draw(family(s=s), label="h")
+        m = data.draw(st.integers(1, 16), label="m")
     verdict = check_sparsity(h, m, s)
     assert verdict == reference_sparsity.check_sparsity(h, m, s)
     assert verdict.holds == brute_force_sparsity(h, m, s).holds
     if family is berge_cycles:
         assert verdict.holds
+    if family is bicycles_beside_trees:
+        assert verdict.holds == (m < size)
+
+
+@pytest.mark.parametrize("m", [7, 32])
+def test_theta_beside_long_berge_cycle_equals_reference(m):
+    # A theta of three 4-edge chains (12 edges) beside a 40-edge Berge
+    # cycle: only the theta's component is searched, and at m = 32 its 12
+    # edges are the violator.
+    n, edges = berge_chains(4, [(0, 1, 4), (0, 1, 4), (0, 1, 4), (2, 2, 40)])
+    h = Hypergraph(n, edges)
+    verdict = check_sparsity(h, m, 4)
+    assert verdict == reference_sparsity.check_sparsity(h, m, 4)
+    if m == 7:
+        assert verdict.holds
+    else:
+        theta = {frozenset(e) for e in edges[:12]}
+        assert {frozenset(h.edges[i]) for i in verdict.violator.edge_indices} == theta
 
 
 def test_long_berge_cycle_passes_without_search():
