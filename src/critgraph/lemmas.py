@@ -7,8 +7,8 @@ construction, validated exhaustively on small instances:
   * in the 2-section of a locally sparse uniform hypergraph, every
     (s+1)-vertex subset induces at most C(s,2) + 2 edges.
 
-The first is checked in bulk, without building hypergraphs, by
-`suites.connected_bound_suite`.
+The first is checked by `suites.connected_bound_suite`, which counts the
+connected hypergraphs and builds only the edge sets that could break it.
 
 Each check either returns a verdict/witness or raises a typed error;
 unexpected internal contradictions surface as CounterexampleFound so the

@@ -14,7 +14,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .hypergraph import Hypergraph, cycle_ranks, merge_component
+from .hypergraph import Hypergraph, cycle_ranks, mask_components
 from .lemmas import (
     CapExceeded,
     CounterexampleFound,
@@ -76,156 +76,93 @@ def connected_bound_suite(
     """Every connected labelled hypergraph within the caps satisfies
     |V| <= 1 + sum(|e| - 1).
 
-    One depth-first walk per n over increasing candidate-index sets that
-    carries the union, the intersection components and the slack
-    1 + sum(|e| - 1). At each set, the one-edge extensions that are
-    connected and cover every vertex are counted in bulk with bitsets; the
-    edge-size classes are consulted only where an extension could break
-    the bound. The walk visits the children of a set with room for three
-    or more edges; a set with room for exactly two counts its children's
-    closing edges in one loop, without visiting them. The bitsets for a
-    vertex set are built when the walk first asks for it, so the work
-    stays within the sets the cap counts. Raises CapExceeded before
-    enumerating anything when the whole request is past the cap, and
-    RequestRefused for a negative cap.
+    The connected hypergraphs are counted (_connected_spanning_counts),
+    and only the edge sets that could break the bound are walked
+    (_slack_walk). Past n = max(1, max_edges * max(sizes)) no edge set
+    within the caps covers V, so none is connected. Raises CapExceeded
+    before enumerating anything when the whole request is past the cap,
+    and RequestRefused for a negative cap.
     """
     sizes = sizes or {2, 3, 4}
     _at_least("max_n", max_n, 1)
     _at_least("max_edges", max_edges, 0)
     require_within_cap(range(1, max_n + 1), max_edges, sizes)
+    top = min(max_n, max(1, max_edges * max(sizes)))
     report = SuiteReport("obs1")
-    for n in range(1, max_n + 1):
-        if n == 1:
-            report.checked += 1  # no edges: connected, and 1 <= 1
-        if max_edges:
-            _connected_bound_walk(n, max_edges, sizes, report)
+    report.checked = sum(map(sum, _connected_spanning_counts(top, max_edges, sizes)))
+    for n in range(1, top + 1):
+        report.counterexamples += _slack_walk(n, max_edges, sizes)
     return report
 
 
-def _bitset(indices: list[int], width: int) -> int:
-    """The int with bit j set for every j in indices, built in time
-    linear in width."""
-    digits = bytearray(b"0" * width)
-    for j in indices:
-        digits[width - 1 - j] = ord("1")
-    return int(digits or b"0", 2)
+def _connected_spanning_counts(max_n: int, max_edges: int, sizes: set[int]) -> list[list[int]]:
+    """Row k, entry j: the number of j-edge sets of candidate edges on k
+    labelled vertices that cover all k and are connected, for k <= max_n
+    and j <= max_edges. Row 1 counts the empty set, the one vertex alone;
+    row 0 counts nothing.
+
+    With I_k(x) = sum_j C(c_k, j) x^j, where c_k is the number of
+    candidates on k vertices (of a size in `sizes`, 1 <= size <= k, as
+    candidate_edges filters), and G_k the generating polynomial of row k:
+    any edge set on k vertices splits into the block of vertex 0, a
+    connected spanning set on some b vertices holding vertex 0, chosen in
+    C(k - 1, b - 1) ways, and any edge set on the other k - b vertices.
+    So I_k = sum_{b <= k} C(k - 1, b - 1) G_b I_{k-b}, with I_0 = 1, which
+    gives G_k = I_k - sum_{b < k} C(k - 1, b - 1) G_b I_{k-b}, truncated
+    at degree max_edges.
+    """
+    counts = [sum(math.comb(k, size) for size in sizes if 1 <= size <= k) for k in range(max_n + 1)]
+    width = min(max_edges, counts[-1]) + 1  # no set has more edges than there are candidates
+    every = [[math.comb(c, j) for j in range(width)] for c in counts]  # every[k]: I_k
+    rows = [[0] * width]
+    for k in range(1, max_n + 1):
+        row = every[k][:]
+        for b in range(1, k):
+            ways, rest = math.comb(k - 1, b - 1), every[k - b]
+            for i, g in enumerate(rows[b]):
+                for j in range(width - i):
+                    row[i + j] -= ways * g * rest[j]
+        rows.append(row)
+    return rows
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with fill(key) on its first lookup."""
+def _slack_walk(n: int, max_edges: int, sizes: set[int]) -> list[dict]:
+    """Every connected edge set on n vertices, of at most max_edges
+    candidate edges, that covers V with bound 1 + sum(|e| - 1) < n: the
+    counterexamples to the fact, in enumeration order.
 
-    def __init__(self, fill) -> None:
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
-
-
-def _connected_bound_walk(n: int, max_edges: int, sizes: set[int], report: SuiteReport) -> None:
-    """Add to `report` every connected nonempty edge set on n vertices
-    with at most max_edges candidate edges."""
+    Sets grow in index order, and only while the bound stays below n,
+    since an edge never lowers it. A set is dropped when the edges it has
+    room for cannot cover the rest of V: each adds at most one vertex more
+    than it adds to the bound, and at most max(sizes) vertices.
+    """
     cands = candidate_edges(n, sizes)
     masks = [sum(1 << v for v in e) for e in cands]
-    width = len(cands)
-    every = (1 << width) - 1
-    classes = [
-        (k, _bitset([j for j, e in enumerate(cands) if len(e) == k], width))
-        for k in sorted(sizes)
-        if 1 <= k <= n
-    ]
-    holders: list[list[int]] = [[] for _ in range(n)]
-    for j, e in enumerate(cands):
-        for v in e:
-            holders[v].append(j)
-    # inc[v]: the candidates holding vertex v, as a bitset over candidate
-    # indices. The walk's vertex-set queries are built from these on first
-    # use, so the work stays within the visited sets, not 2^n.
-    inc = [_bitset(js, width) for js in holders]
-
-    def all_of(vs: int) -> int:
-        out = every
-        for v in range(n):
-            if vs >> v & 1:
-                out &= inc[v]
-        return out
-
-    def any_of(vs: int) -> int:
-        out = 0
-        for v in range(n):
-            if vs >> v & 1:
-                out |= inc[v]
-        return out
-
-    containing = _Memo(all_of)  # vertex set -> the candidates holding all of it
-    meeting = _Memo(any_of)  # vertex set -> the candidates holding some of it
+    widest = max(sizes)
     full = (1 << n) - 1
     chosen: list[int] = []
     found: list[tuple[list[int], dict]] = []
-    checked = 0
-    # A closing edge of size k gives a set with bound slack + k - 1, which
-    # only k <= n - slack can break: none when n - slack < smallest.
-    smallest = classes[0][0] if classes else n + 1
 
-    def record(closing: int, slack: int, picked: list[int]) -> None:
-        for k, cls in classes:
-            if k > n - slack:
-                break
-            hit = closing & cls
-            while hit:
-                j = (hit & -hit).bit_length() - 1
-                hit &= hit - 1
-                edges = [list(cands[i]) for i in picked] + [list(cands[j])]
-                found.append((picked + [j], {"n": n, "edges": edges, "bound": slack + k - 1}))
-
-    def visit(children: int, union: int, comps: list[int], slack: int) -> None:
-        nonlocal checked
-        # A child stays connected iff its edge meets every component, and
-        # covers V iff its edge holds every vertex the set leaves out.
-        closing = children & containing[full ^ union]
-        for c in comps:
-            closing &= meeting[c]
-        checked += closing.bit_count()
-        if n - slack >= smallest:
-            record(closing, slack, chosen)
-        room = max_edges - len(chosen)
-        if room < 2:
+    def visit(start: int, union: int, slack: int) -> None:
+        if union == full and len(mask_components([masks[i] for i in chosen], full)) == 1:
+            found.append((list(chosen), {"n": n, "edges": [list(cands[i]) for i in chosen], "bound": slack}))
+        left = max_edges - len(chosen) - 1  # edges a child has room for
+        if left < 0:
             return
-        start = chosen[-1] + 1 if chosen else 0
-        if room > 2:
-            for j in range(start, width):
-                chosen.append(j)
-                above = every ^ ((2 << j) - 1)
-                visit(above, union | masks[j], merge_component(comps, masks[j]), slack + len(cands[j]) - 1)
-                chosen.pop()
-            return
-        # Room for exactly two more edges: each child's closing edges are
-        # counted here, without visiting it. Its components are the ones
-        # its edge misses plus the one its edge merges.
-        met = [(c, meeting[c]) for c in comps]
-        above = every ^ ((1 << start) - 1)
-        for j in range(start, width):
-            above ^= 1 << j
-            mask = masks[j]
-            closing = above & containing[full ^ (union | mask)]
-            if not closing:
-                continue
-            merged = mask
-            for c, m in met:
-                if c & mask:
-                    merged |= c
-                else:
-                    closing &= m
-            closing &= meeting[merged]
-            checked += closing.bit_count()
+        low = ~union & (union + 1)  # the lowest vertex left to cover
+        for j in range(start, len(cands)):
+            if masks[j] & -masks[j] > low:
+                break  # edges come by lowest vertex: no later one covers it
             grown = slack + len(cands[j]) - 1
-            if n - grown >= smallest:
-                record(closing, grown, chosen + [j])
+            if grown >= n:
+                continue
+            if (union | masks[j]).bit_count() + min(left * widest, n - 1 - grown + left) >= n:
+                chosen.append(j)
+                visit(j + 1, union | masks[j], grown)
+                chosen.pop()
 
-    visit(every, 0, [], 1)
-    report.checked += checked
-    report.counterexamples += _in_enumeration_order(found)
+    visit(0, 0, 1)
+    return _in_enumeration_order(found)
 
 
 def small_cut_suite(
@@ -395,9 +332,9 @@ def sparsity_oracle_suite(count: int = 200, seed: int = 1, max_n: int = 14) -> S
 def matching_oracle_suite(count_per_s: int = 200, seed: int = 2, max_n: int = 12) -> SuiteReport:
     """Solver verdict must equal exhaustive enumeration over all edge
     subsets of the right cardinality, and every witness must re-validate
-    as a disjoint cover. Each instance draws at most
-    MATCHING_ORACLE_MAX_EDGES edges, which bounds the enumeration whatever
-    max_n is."""
+    as a disjoint cover by edges of the instance. Each instance draws at
+    most MATCHING_ORACLE_MAX_EDGES edges, which bounds the enumeration
+    whatever max_n is."""
     _at_least("count_per_s", count_per_s, 1)
     _at_least("max_n", max_n, max(MATCHING_ORACLE_UNIFORMITIES))
     check_unrank_table(max_n, max(MATCHING_ORACLE_UNIFORMITIES), RequestRefused)
@@ -416,6 +353,8 @@ def matching_oracle_suite(count_per_s: int = 200, seed: int = 2, max_n: int = 12
                 problems.append(f"solver={'yes' if found else 'no'} oracle={'yes' if expected else 'no'}")
             if found is not None and not found.is_perfect_for(frozenset(range(h.n))):
                 problems.append("witness is not a perfect matching")
+            if found is not None and not set(found.edges) <= set(h.edges):
+                problems.append("witness uses non-edges")
             if problems:
                 report.counterexamples.append(
                     {"n": h.n, "s": s, "edges": [list(e) for e in h.edges], "problems": problems}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import functools
 import hashlib
 import json
@@ -835,6 +836,27 @@ def test_unwritable_out_is_an_error_not_a_traceback(tmp_path, capsys):
     code, stdout, stderr = _fresh_process(["sweep", "--s", "3", "--n", "6", "--p", "0.5", "--samples", "2", "--out", str(out)])
     assert (code, stdout) == (1, "")
     assert stderr.startswith("error: cannot write ") and "Traceback" not in stderr
+
+
+@pytest.mark.parametrize(
+    "writer, argv",
+    [("write_certificate", ["construct", "--r", "1", "--k", "2", "--seed", "7", "--restarts", "0", "--quiet"]),
+     ("write_sweep_csv", ["sweep", "--s", "3", "--n", "6", "--p", "0.5", "--samples", "2", "--seed", "1"])],
+    ids=["construct", "sweep"],
+)
+def test_write_failure_after_the_work_is_an_error(writer, argv, tmp_path, capsys, monkeypatch):
+    # The writer is patched, not the filesystem: a root process ignores
+    # permission bits, so a read-only directory would stop no write.
+    def no_space(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, writer, no_space)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out}: No space left on device\n"
+    assert "written to" not in captured.out
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("C", ["-1", "0", "nan", "inf", "-inf"])

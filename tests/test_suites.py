@@ -1,9 +1,11 @@
-"""The depth-first `obs1` and `blocks` walks against the enumerating suites
-they replaced, kept in `reference_suites`: equal `SuiteReport` dicts,
-counts, skips and counterexamples in the same order. Also the shared
-(s+1)-subset scan of `edge_bound_check` against the scan it replaced, and
-the randomized suites' unranked instances against the list-indexed ones,
-and the suites' exact bounded integers and Floyd sampling."""
+"""The counted `obs1` and the depth-first `blocks` walk against the
+enumerating suites they replaced, kept in `reference_suites`: equal
+`SuiteReport` dicts, counts, skips and counterexamples in the same order.
+The `obs1` counts also against the connected labelled graph numbers. Also
+the shared (s+1)-subset scan of `edge_bound_check` against the scan it
+replaced, the randomized suites' unranked instances against the
+list-indexed ones, and the suites' exact bounded integers and Floyd
+sampling."""
 
 from __future__ import annotations
 
@@ -18,11 +20,13 @@ from hypothesis import given, settings
 import reference_suites
 from conftest import uniform_hypergraphs
 from critgraph import suites
+from critgraph.hypergraph import Matching
 from critgraph.lemmas import (
     CapExceeded,
     CounterexampleFound,
     HypothesisNotMet,
     RequestRefused,
+    candidate_edges,
     edge_bound_check,
     find_small_cut,
     require_within_cap,
@@ -90,14 +94,44 @@ def test_every_size_set_equals_reference(sizes):
 @pytest.mark.parametrize("max_edges", [1, 2, 3])
 @pytest.mark.parametrize("sizes", SIZE_SETS, ids=lambda s: "".join(map(str, sorted(s))))
 def test_obs1_in_place_level_equals_reference(sizes, max_edges):
-    # The walk counts the children of a set with room for exactly two more
-    # edges in one loop: never at max_edges 1, at the root's children at 2,
-    # at the children of every one-edge set at 3. Every n up to 6.
+    # The counts truncated at one, two and three edges, and the slack
+    # walk's room for the rest: none left after the first edge at
+    # max_edges 1, one or two after it at 2 and 3. Every n up to 6.
     for max_n in range(1, 7):
         assert (
             suites.connected_bound_suite(max_n, max_edges, set(sizes)).to_dict()
             == reference_suites.connected_bound_suite(max_n, max_edges, set(sizes)).to_dict()
         )
+
+
+def test_obs1_counts_equal_connected_graph_numbers():
+    # With 2-edges a row counts the connected labelled graphs by edge
+    # count: row sums are OEIS A001187, and the trees, n - 1 edges, number
+    # n^(n-2) by Cayley's formula.
+    rows = suites._connected_spanning_counts(6, 15, {2})
+    assert [sum(row) for row in rows[1:]] == [1, 1, 4, 38, 728, 26704]
+    assert all(rows[n][n - 1] == n ** (n - 2) for n in range(2, 7))
+    assert rows[4] == [0, 0, 0, 16, 15, 6, 1] + [0] * 9
+    assert suites.connected_bound_suite(6, 15, {2}).checked == 27_476
+
+
+@pytest.mark.parametrize("sizes", [{1, 2}, {2, 3}, {2, 4}, {3}], ids=lambda s: "".join(map(str, sorted(s))))
+def test_slack_walk_meets_every_covering_set_below_the_bound(sizes, monkeypatch):
+    # No counterexample exists, so the walk's pruning is otherwise
+    # untested. With every edge set taken as connected, each one that
+    # covers V with bound 1 + sum(|e| - 1) < n must come back, in order.
+    monkeypatch.setattr(suites, "mask_components", lambda masks, active: [active])
+    met = 0
+    for n in range(1, 7):
+        expected = [
+            {"n": n, "edges": [list(e) for e in chosen], "bound": 1 + sum(len(e) - 1 for e in chosen)}
+            for count in range(1, 5)
+            for chosen in combinations(candidate_edges(n, sizes), count)
+            if set().union(*chosen) == set(range(n)) and sum(len(e) - 1 for e in chosen) < n - 1
+        ]
+        assert suites._slack_walk(n, 4, sizes) == expected
+        met += len(expected)
+    assert met > 0
 
 
 def test_blocks_counterexamples_in_reference_order(monkeypatch):
@@ -124,8 +158,8 @@ def test_blocks_default_caps_equal_reference():
 
 @pytest.mark.parametrize("max_n, max_edges", [(30, 1), (12, 2)])
 def test_obs1_large_n_small_cap_equals_reference(max_n, max_edges):
-    # The walk's per-vertex-set bitsets are built only for the sets it
-    # visits; tables over all 2^n vertex sets would not finish at n = 30.
+    # No one or two edges of at most 4 vertices cover more than 4 or 8
+    # vertices, so the suite neither counts nor walks any larger n.
     walked = suites.connected_bound_suite(max_n=max_n, max_edges=max_edges)
     assert walked.to_dict() == reference_suites.connected_bound_suite(max_n, max_edges).to_dict()
 
@@ -228,6 +262,22 @@ def test_matching_oracle_instances_equal_the_old_draw_loop(seed, monkeypatch):
     report = suites.matching_oracle_suite(count_per_s=200, seed=seed, max_n=12)
     assert report.checked == 600
     assert seen == reference_suites.matching_oracle_instances(200, seed, 12)
+
+
+def test_matching_oracle_flags_a_witness_of_non_edges(monkeypatch):
+    # Swapping the lowest vertices of two witness edges keeps a disjoint
+    # cover of V, by sets that need not be edges of the instance.
+    def swapped(h, *args, **kwargs):
+        found = find_perfect_matching(h, *args, **kwargs)
+        if found is None or len(found.edges) < 2:
+            return found
+        (a, *rest_a), (b, *rest_b), *others = found.edges
+        return Matching([(b, *rest_a), (a, *rest_b), *others])
+
+    monkeypatch.setattr(suites, "find_perfect_matching", swapped)
+    report = suites.matching_oracle_suite(count_per_s=50, seed=2)
+    assert report.counterexamples
+    assert {tuple(cx["problems"]) for cx in report.counterexamples} == {("witness uses non-edges",)}
 
 
 def test_below_rejects_then_accepts():
