@@ -61,61 +61,47 @@ def _seed(text: str) -> int:
     return value
 
 
-def _attempt_summary(params: ConstructionParams, base_seed: int, idx: int, budget: int) -> int:
-    """The stages one restart passes, 3 being robust. A sample that fails
-    sparsity while its edges stream in scores 0 at once, as the full check
-    would score it."""
-    if sample_fails_sparsity(params.n, params.s, params.q, params.m, derive_seed(base_seed, idx)):
-        return 0
-    return _attempt_certificate(params, base_seed, idx, budget, stop_early=True).stages_passed()
+def _verified(params: ConstructionParams, seed: int, budget: int, stop_early: bool) -> Certificate:
+    h = sample_hypergraph(params.n, params.s, params.q, seed)
+    return verify_construction(h, params, seed=seed, matching_budget=budget, stop_early=stop_early)
 
 
-def _attempt_certificate(
-    params: ConstructionParams, base_seed: int, idx: int, budget: int, stop_early: bool
-) -> Certificate:
-    child_seed = derive_seed(base_seed, idx)
-    h = sample_hypergraph(params.n, params.s, params.q, child_seed)
-    return verify_construction(
-        h, params, seed=child_seed, matching_budget=budget, stop_early=stop_early
-    )
+def _attempt(params: ConstructionParams, seed: int, budget: int) -> Certificate | None:
+    """One restart: None when its sample fails sparsity while the edges
+    stream in, which scores 0 as the full check would, else its stop-early
+    certificate, whose stages_passed() is the score (3 being robust)."""
+    if sample_fails_sparsity(params.n, params.s, params.q, params.m, seed):
+        return None
+    return _verified(params, seed, budget, stop_early=True)
 
 
 def run_construct_search(
-    r: int,
-    k: int,
-    C: float | None,
+    params: ConstructionParams,
     base_seed: int,
     restarts: int,
     budget: int,
     progress=None,
 ) -> tuple[Certificate, bool, int]:
     """Sample-and-verify loop: (restarts + 1) attempts with derived seeds;
-    the first fully robust attempt wins, otherwise the attempt passing the
-    most stages (ties to the lowest index) is re-verified thoroughly and
-    returned as the best effort. Returns (certificate, success, index).
+    the first fully robust attempt wins with the certificate that scored
+    it, otherwise the attempt passing the most stages (ties to the lowest
+    index) is re-verified thoroughly and returned as the best effort.
+    Returns (certificate, success, index).
 
-    The parameters are derived once for the whole search, and the attempts
-    run one at a time in this process, so memory does not grow with
-    `restarts`."""
-    params = derive_params(r, k, C)
+    The attempts run one at a time in this process, so memory does not
+    grow with `restarts`."""
     best_idx = 0
     best_score = -1
-    success_idx: int | None = None
     for idx in range(restarts + 1):
-        score = _attempt_summary(params, base_seed, idx, budget)
+        cert = _attempt(params, derive_seed(base_seed, idx), budget)
+        score = 0 if cert is None else cert.stages_passed()
         if progress is not None:
             progress(idx, score)
         if score == 3:
-            success_idx = idx
-            break
+            return cert, True, idx
         if score > best_score:
             best_idx, best_score = idx, score
-
-    if success_idx is not None:
-        cert = _attempt_certificate(params, base_seed, success_idx, budget, stop_early=True)
-        return cert, True, success_idx
-    cert = _attempt_certificate(params, base_seed, best_idx, budget, stop_early=False)
-    return cert, False, best_idx
+    return _verified(params, derive_seed(base_seed, best_idx), budget, stop_early=False), False, best_idx
 
 
 def _refuse_out(out: Path) -> bool:
@@ -132,9 +118,6 @@ def _refuse_out(out: Path) -> bool:
 
 
 def _cmd_construct(args) -> int:
-    if args.r < 1 or args.k < 2:
-        print("error: need --r >= 1 and --k >= 2", file=sys.stderr)
-        return EXIT_USAGE
     if args.restarts < 0 or args.workers < 1 or args.matching_budget < 1:
         print("error: budgets and worker count must be positive", file=sys.stderr)
         return EXIT_USAGE
@@ -161,9 +144,7 @@ def _cmd_construct(args) -> int:
             print(f"  attempt {idx}: best stage count so far {seen_best}/3")
 
     cert, success, idx = run_construct_search(
-        args.r,
-        args.k,
-        args.C,
+        params,
         base_seed,
         args.restarts,
         args.matching_budget,

@@ -9,7 +9,9 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
@@ -24,11 +26,11 @@ from critgraph.certformat import (
     write_sweep_csv,
 )
 from critgraph import cli, sampling, suites
-from critgraph.certify import check_certificate, verify_construction
+from critgraph.certify import Certificate, check_certificate, verify_construction
 from critgraph.cli import main, run_construct_search
 from critgraph.hypergraph import Hypergraph, complement, two_section
 from critgraph.matching import MATCHING_BUDGET
-from critgraph.sampling import SweepPoint, derive_params, sample_hypergraph
+from critgraph.sampling import SweepPoint, derive_params, derive_seed, sample_hypergraph
 
 from conftest import hypergraphs
 
@@ -146,6 +148,33 @@ def test_bad_graph_rows_exit_1_without_traceback(tmp_path, capsys, row, message)
     assert main(["verify", str(path)]) == 1
     err_text = capsys.readouterr().err
     assert err_text == f"parse error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "path, value, out, err",
+    [
+        (["matchability", "per_vertex", 3, "matching"], None,
+         "certificate INVALID:\n  - vertex 3 marked matched without a witness\n"
+         "  - all_matchable claimed but per-vertex outcomes disagree\n", ""),
+        (["sparsity", "m"], 16, "certificate INVALID:\n  - sparsity verdict window does not match params\n", ""),
+        (["sparsity", "violator"], None,
+         "certificate INVALID:\n  - sparsity failure recorded without a violator\n", ""),
+        (["min_subset_edges", "witness"], [0, 1, 2, 3],
+         "certificate INVALID:\n  - subset witness is not a 5-vertex set\n", ""),
+        (["min_subset_edges", "witness"], [0, 1, 2, 3, 21],
+         "certificate INVALID:\n  - subset witness out of range\n", ""),
+        (["matchability", "per_vertex", 3, "status"], "bogus", "", "parse error: unknown matching status 'bogus'\n"),
+    ],
+    ids=["matched-without-witness", "sparsity-window", "no-violator", "short-witness", "witness-range", "bad-status"],
+)
+def test_verify_rejects_each_tampered_field(path, value, out, err, tmp_path, capsys):
+    doc = _frozen_doc()
+    _set(doc, path, value)
+    report = tmp_path / "tampered.json"
+    report.write_text(json.dumps(doc))
+    assert main(["verify", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)
 
 
 def test_repeated_per_vertex_entry_is_refused(tmp_path, capsys):
@@ -447,9 +476,11 @@ def test_cli_construct_timeouts_are_fixed_by_the_node_budget(tmp_path):
     )
 
 
-def test_cli_construct_usage_errors(tmp_path):
+def test_cli_construct_usage_errors(tmp_path, capsys):
     assert main(["construct", "--r", "0", "--k", "5"]) == 1
+    assert capsys.readouterr().err == "error: deletion budget r must be >= 1, got 0\n"
     assert main(["construct", "--r", "1", "--k", "1"]) == 1
+    assert capsys.readouterr().err == "error: target chromatic number k must be >= 2, got 1\n"
     assert main(["construct", "--r", "1", "--k", "3", "--matching-budget", "0"]) == 1
     # The budget counts search nodes, so a fraction is refused like any
     # other malformed integer.
@@ -484,7 +515,7 @@ def test_search_reports_attempts_in_order():
     for k, C, seed in [(2, None, 13), (3, 1.0, 2)]:
         seen = []
         _, ok, idx = run_construct_search(
-            1, k, C, seed, restarts=9, budget=MATCHING_BUDGET,
+            derive_params(1, k, C), seed, restarts=9, budget=MATCHING_BUDGET,
             progress=lambda attempt, score: seen.append((attempt, score)),
         )
         assert [attempt for attempt, _ in seen] == list(range(idx + 1 if ok else 10))
@@ -492,35 +523,92 @@ def test_search_reports_attempts_in_order():
         assert idx == scores.index(max(scores))
 
 
-def test_search_derives_params_and_base_pool_once(monkeypatch):
-    # Neither the parameters nor the base seed's SeedSequence pool depend
-    # on the attempt, so an 801-attempt search derives each once.
+def _counting(monkeypatch, names):
+    """Count the calls construct makes through each of cli's names."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(cli, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    return counts
+
+
+_WORK = [
+    # Attempts 2, 3, 4, 5 and 7 survive streaming and are verified; the
+    # best of them, attempt 2, is drawn and verified once more.
+    (["--k", "3", "--C", "1", "--seed", "2", "--restarts", "9"], 10,
+     {"derive_params": 1, "derive_seed": 11, "sample_fails_sparsity": 10,
+      "sample_hypergraph": 6, "verify_construction": 6}),
+    # Every attempt is a streamed rejection; attempt 0 is re-verified.
+    (["--k", "11", "--seed", "20261018", "--restarts", "800"], 801,
+     {"derive_params": 1, "derive_seed": 802, "sample_fails_sparsity": 801,
+      "sample_hypergraph": 1, "verify_construction": 1}),
+]
+
+
+def test_search_derives_params_and_base_pool_once(monkeypatch, tmp_path):
+    # A construct command derives its parameters once, the base seed's
+    # SeedSequence pool once, and each attempt's seed once; only the best
+    # attempt is drawn again, for its full re-verify.
+    search = cli.run_construct_search
+    for argv, attempts, work in _WORK:
+        with monkeypatch.context() as patch:
+            counts = _counting(patch, work)
+            seen = []
+
+            def recorded(*args, progress=None, **kwargs):  # as the benchmark's attempt clock
+                return search(*args, progress=lambda idx, _: seen.append(idx), **kwargs)
+
+            patch.setattr(cli, "run_construct_search", recorded)
+            sampling._base_pool.cache_clear()
+            assert main(["construct", "--r", "1", *argv, "--quiet", "--out", str(tmp_path / "c.json")]) == 2
+            assert seen == list(range(attempts))
+            assert counts == work
+            assert sampling._base_pool.cache_info().misses == 1
+
+
+def test_success_writes_the_certificate_that_scored_it(monkeypatch, tmp_path, capsys):
+    # The verifier is wrapped to report three passed stages, so attempt 2,
+    # the first to survive streaming, wins; its one verification is the
+    # certificate written.
+    class Robust(Certificate):
+        def stages_passed(self) -> int:
+            return 3
+
     calls = []
 
-    def counting_derive_params(*args):
-        calls.append(args)
-        return derive_params(*args)
+    def robust(*args, **kwargs):
+        cert = verify_construction(*args, **kwargs)
+        calls.append(cert)
+        return Robust(**{f.name: getattr(cert, f.name) for f in fields(cert)})
 
-    monkeypatch.setattr(cli, "derive_params", counting_derive_params)
-    sampling._base_pool.cache_clear()
-    seen = []
-    run_construct_search(1, 11, None, 20261018, restarts=800, budget=MATCHING_BUDGET, progress=lambda idx, _: seen.append(idx))
-    assert seen == list(range(801))
+    monkeypatch.setattr(cli, "verify_construction", robust)
+    out = tmp_path / "c.json"
+    assert main(["construct", "--r", "1", "--k", "3", "--C", "1", "--seed", "2", "--quiet", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"success at attempt 2: certificate written to {out}"
+    doc = json.loads(out.read_text())
+    assert (doc["search"]["outcome"], doc["search"]["restart_index"]) == ("success", 2)
     assert len(calls) == 1
-    assert sampling._base_pool.cache_info().misses == 1
+    assert doc["seed"] == calls[0].seed == derive_seed(2, 2)
 
 
 def test_search_produces_jobs_lazily(monkeypatch):
     # A million restarts as a list of jobs would be about 120 MB before the
     # first attempt; produced lazily, a success at index 0 costs nothing.
-    monkeypatch.setattr(cli, "_attempt_summary", lambda params, base_seed, idx, budget: 3)
+    robust = SimpleNamespace(stages_passed=lambda: 3)
+    monkeypatch.setattr(cli, "_attempt", lambda params, seed, budget: robust)
     tracemalloc.start()
     try:
-        _, ok, idx = run_construct_search(1, 2, None, 5, restarts=10**6, budget=MATCHING_BUDGET)
+        cert, ok, idx = run_construct_search(derive_params(1, 2), 5, restarts=10**6, budget=MATCHING_BUDGET)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert ok and idx == 0
+    assert cert is robust
     assert peak < 2**20
 
 
@@ -568,6 +656,33 @@ def test_cli_lemma_check_passes_only_the_flags_given(monkeypatch):
     assert main(["lemma-check", "--suite", "matching-oracle", "--count", "3", "--seed", "4"]) == 0
     assert [kwargs for kwargs, _ in calls] == [{}, {"count_per_s": 3, "seed": 4}]
     assert calls[0][1] == suites.matching_oracle_suite().to_dict()
+
+
+def test_cli_lemma_check_counterexample_fails(monkeypatch, capsys):
+    # A suite that finds a counterexample exits 2 with the report as JSON.
+    report = suites.SuiteReport("obs1", checked=3, skipped=1, counterexamples=[{"n": 2, "edges": [[0, 1]]}])
+    monkeypatch.setattr(cli, "connected_bound_suite", lambda **_: report)
+    assert main(["lemma-check", "--suite", "obs1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "suite obs1: checked=3 skipped=1 counterexamples=1 -> FAIL\n"
+        + json.dumps(report.to_dict(), indent=2) + "\n"
+    )
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "n, p, message",
+    [("6,x", "0.5", "invalid literal for int() with base 10: 'x'"),
+     ("6", "0.1,abc", "could not convert string to float: 'abc'")],
+)
+def test_cli_sweep_refuses_a_malformed_grid(n, p, message, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--s", "3", "--n", n, "--p", p, "--samples", "2", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_cli_matching_oracle_stays_quick_at_a_large_max_n(capsys):

@@ -1,8 +1,9 @@
 """The restart loop's streaming rejection against the full pipeline.
 
-_attempt_summary scores an attempt 0 as soon as its sample fails sparsity
-while the edges stream in; the score must always be the one
-verify_construction(stop_early=True) gives the whole sample.
+An attempt scores 0 as soon as its sample fails sparsity while the edges
+stream in (cli._attempt returns None); the score must always be the one
+verify_construction(stop_early=True) gives the whole sample, and an
+attempt that survives streaming returns that very certificate.
 """
 
 from __future__ import annotations
@@ -18,17 +19,32 @@ import pytest
 from hypothesis import given, settings
 
 import critgraph
-from critgraph.cli import _attempt_certificate, _attempt_summary, main
+from critgraph.cli import _attempt, main
+from critgraph.certify import verify_construction
 from critgraph.matching import MATCHING_BUDGET
 from critgraph.sampling import derive_params, derive_seed, sample_fails_sparsity, sample_hypergraph
 from critgraph.sparsity import check_sparsity, forced_violator_size
 
 
+def _full_certificate(params, base_seed, idx, budget):
+    seed = derive_seed(base_seed, idx)
+    h = sample_hypergraph(params.n, params.s, params.q, seed)
+    return verify_construction(h, params, seed=seed, matching_budget=budget, stop_early=True)
+
+
 def _full_summary(params, base_seed, idx, budget):
-    cert = _attempt_certificate(params, base_seed, idx, budget, stop_early=True)
+    cert = _full_certificate(params, base_seed, idx, budget)
     score = cert.stages_passed()
     assert cert.conclusions.robust_to_r == (score == 3)
     return score
+
+
+def _streamed_summary(params, base_seed, idx, budget):
+    cert = _attempt(params, derive_seed(base_seed, idx), budget)
+    if cert is None:
+        return 0
+    assert cert == _full_certificate(params, base_seed, idx, budget)
+    return cert.stages_passed()
 
 
 @pytest.mark.parametrize(
@@ -41,7 +57,7 @@ def test_streaming_summary_equals_full_path(k, attempts):
         assert params.q == 1.0
     for idx in range(attempts):
         job = (params, 20261018, idx, MATCHING_BUDGET)
-        assert _attempt_summary(*job) == _full_summary(*job)
+        assert _streamed_summary(*job) == _full_summary(*job)
 
 
 def test_streaming_falls_back_when_sparsity_passes():
@@ -52,7 +68,7 @@ def test_streaming_falls_back_when_sparsity_passes():
     fallbacks = passed = 0
     for idx in range(40):
         job = (params, 7, idx, MATCHING_BUDGET)
-        score = _attempt_summary(*job)
+        score = _streamed_summary(*job)
         assert score == _full_summary(*job)
         if not sample_fails_sparsity(params.n, params.s, params.q, params.m, derive_seed(7, idx)):
             fallbacks += 1
