@@ -193,10 +193,12 @@ def candidate_edges(n: int, sizes: set[int]) -> list[tuple[int, ...]]:
 def require_within_cap(ns, max_edges: int, sizes: set[int], cap: int = ENUMERATION_CAP) -> None:
     """Raise CapExceeded unless enumerating every labelled hypergraph with
     at most max_edges edges of the given sizes, summed over every vertex
-    count in ns, stays within cap. Arithmetic only: nothing is enumerated."""
+    count in ns, stays within cap. Arithmetic only: nothing is enumerated,
+    and the count stops as soon as it passes cap (every term is >= 0)."""
     total = 0
     for n in ns:
         count = sum(math.comb(n, size) for size in sizes if 1 <= size <= n)
-        total += sum(math.comb(count, j) for j in range(min(max_edges, count) + 1))
-    if total > cap:
-        raise CapExceeded(f"{total} hypergraphs exceeds cap {cap}")
+        for j in range(min(max_edges, count) + 1):
+            total += math.comb(count, j)
+            if total > cap:
+                raise CapExceeded(f"more than {cap} hypergraphs (counted {total} before stopping)")

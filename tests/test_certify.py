@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import replace
 from itertools import combinations, product
@@ -71,6 +72,11 @@ def test_min_subset_edges_rejects_oversize():
         min_subset_edges(Graph(3, []), 4)
 
 
+def test_min_subset_edges_rejects_a_negative_size():
+    with pytest.raises(ValueError, match="^subset size must be nonnegative$"):
+        min_subset_edges(Graph(3, []), -1)
+
+
 def _tiny_params():
     # r=1, k=2: five vertices, q clamps to 1, the sample is the complete
     # 4-uniform hypergraph.
@@ -115,6 +121,18 @@ def test_verify_construction_records_failing_vertex():
     assert not cert.conclusions.robust_to_r
     ok, reasons = check_certificate(cert)
     assert ok, reasons
+
+
+def test_check_certificate_reports_inconsistent_params():
+    # The decoder refuses such params, so only an in-memory certificate
+    # reaches this check; frozen params are altered past their own check.
+    cert = verify_construction(sample_hypergraph(5, 4, 1.0, 1), _tiny_params(), seed=1)
+    assert check_certificate(cert) == (True, [])
+    params = copy.copy(cert.params)
+    object.__setattr__(params, "q", 0.5)
+    ok, reasons = check_certificate(replace(cert, params=params))
+    assert not ok
+    assert "params inconsistent: inconsistent derived fields: q" in reasons
 
 
 def test_verify_construction_dimension_mismatch():

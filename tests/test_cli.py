@@ -717,6 +717,22 @@ def test_cli_lemma_check_obs1_cap_exceeded():
 
 
 @pytest.mark.parametrize(
+    "argv, counted",
+    [(["--suite", "obs1", "--max-n", "1000000"], 51742185),
+     (["--suite", "obs1", "--max-n", "10000000"], 51742185),
+     (["--suite", "blocks", "--max-n", "30", "--max-edges", "100000"], 9781448),
+     (["--suite", "obs1", "--max-n", "40", "--max-edges", "1000000"], 7121583)],
+)
+def test_cli_lemma_check_refuses_an_over_cap_request_at_once(argv, counted):
+    # The count stops as soon as it passes the cap: summing these whole
+    # requests takes seconds to minutes.
+    code, stdout, stderr, elapsed = _limited_process(["lemma-check", *argv])
+    assert (code, stdout) == (3, "")
+    assert stderr == f"cap exceeded: more than 6000000 hypergraphs (counted {counted} before stopping)\n"
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [(["--suite", "edgebound", "--max-n", "3"], "max_n must be at least 7"),
      (["--suite", "sparsity-oracle", "--max-n", "4"], "max_n must be at least 5"),
@@ -840,6 +856,19 @@ def test_cli_sweep_csv_deterministic(tmp_path):
     assert rows[-1].startswith("6,1.0,10,10,1.0")
 
 
+def test_cli_sweep_prints_the_csv_rows_without_out(tmp_path, capsys):
+    argv = ["sweep", "--s", "3", "--n", "6,9", "--p", "0,0.3,1", "--samples", "5", "--seed", "3"]
+    path = tmp_path / "sweep.csv"
+    assert main([*argv, "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    csv = path.read_bytes()
+    assert csv.count(b"\r\n") == 7
+    assert out.startswith("n,p,samples,successes,fraction\n")
+    assert out.encode() == csv.replace(b"\r\n", b"\n")
+
+
 def test_cli_sweep_divisibility_error():
     assert main(["sweep", "--s", "3", "--n", "7", "--p", "0.1", "--samples", "5", "--seed", "1"]) == 1
 
@@ -866,6 +895,14 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "4,1.0,2,2,1.0" in proc.stdout
+
+
+def test_package_root_imports_no_module():
+    # The package root is only a docstring: importing it runs no module.
+    code = "import sys, critgraph; print(sorted(m for m in sys.modules if m.startswith('critgraph.')))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def _in_process(argv, capsys) -> tuple[int, str, str]:

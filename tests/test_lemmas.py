@@ -11,6 +11,7 @@ from critgraph.lemmas import (
     CounterexampleFound,
     CutWitness,
     HypothesisNotMet,
+    _validate_cut,
     density_hypothesis_check,
     edge_bound_check,
     find_small_cut,
@@ -102,6 +103,26 @@ def test_find_small_cut_preconditions():
         find_small_cut(Hypergraph(4, [(0, 1, 2, 3)]))  # V is an edge
     with pytest.raises(HypothesisNotMet):
         find_small_cut(Hypergraph(5, [(0, 1, 2), (0, 1, 3), (0, 2, 3)]))
+
+
+@pytest.mark.parametrize(
+    "w, side_a, side_b, problem",
+    [((1, 2, 3), (0,), (4, 5), "cut set has 3 > 2 vertices"),
+     ((2,), (0, 1, 3, 4, 5), (), "a cut side is empty"),
+     ((2,), (0, 1, 5), (3, 4, 5), "cut parts overlap"),
+     ((2,), (0, 1), (3, 4), "cut parts do not cover the vertex set"),
+     ((), (0, 1, 2), (3, 4, 5), "edge (2, 3) joins the two sides")],
+    ids=["three-vertex-cut", "empty-side", "overlap", "missing-vertex", "joining-edge"],
+)
+def test_validate_cut_names_each_problem(w, side_a, side_b, problem):
+    # Vertex 5 is isolated; W = (2,), A = (0, 1), B = (3, 4, 5) is valid,
+    # and each witness below breaks exactly one of its properties.
+    h = Hypergraph(6, [(0, 1, 2), (2, 3, 4)])
+    g = two_section(h)
+    _validate_cut(g, CutWitness((2,), (0, 1), (3, 4, 5)), h)
+    with pytest.raises(CounterexampleFound) as err:
+        _validate_cut(g, CutWitness(w, side_a, side_b), h)
+    assert str(err.value) == f"invalid cut witness for h.n=6 edges={h.edges}: {problem}"
 
 
 def test_find_small_cut_two_regular_multiple_cycles():

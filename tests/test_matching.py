@@ -225,6 +225,22 @@ def test_all_deletions_rejects_bad_modulus():
         all_deletions_matchable(complete_uniform(6, 3))
 
 
+def test_all_deletions_rejects_a_contradicted_s():
+    with pytest.raises(ValueError, match="^hypergraph is 3-uniform, expected 4-uniform$"):
+        all_deletions_matchable(complete_uniform(7, 3), s=4)
+
+
+@pytest.mark.parametrize("n, v", [(7, -1), (7, 7), (1, 1)])
+def test_find_matching_avoiding_refuses_a_vertex_out_of_range(n, v):
+    with pytest.raises(ValueError, match=rf"^vertex {v} out of range \[0, {n}\)$"):
+        find_matching_avoiding(complete_uniform(n, 3), v)
+
+
+def test_find_matching_avoiding_one_vertex_is_the_empty_matching():
+    # A zero budget raises at the first search node: no search runs.
+    assert find_matching_avoiding(Hypergraph(1, []), 0, budget=0) == Matching(())
+
+
 def test_all_deletions_stop_early_marks_skipped():
     h = Hypergraph(7, [(0, 1, 2), (3, 4, 5)])
     report = all_deletions_matchable(h, stop_early=True)

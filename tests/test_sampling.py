@@ -58,6 +58,14 @@ def test_derive_params_rejects_bad_input():
         derive_params(1, 1)
 
 
+def test_sample_hypergraph_refuses_bad_arguments():
+    with pytest.raises(ValueError, match="^need 2 <= s <= n, got s=5, n=4$"):
+        sample_hypergraph(4, 5, 0.5, 1)
+    for p in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=f"^probability out of range: {p}$"):
+            sample_hypergraph(6, 3, p, 1)
+
+
 def test_params_invariant_enforced():
     good = derive_params(1, 4)
     with pytest.raises(ValueError):

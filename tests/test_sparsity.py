@@ -60,6 +60,15 @@ def test_check_sparsity_respects_window():
     assert check_sparsity(h, 2, 3).holds
 
 
+def test_check_sparsity_refuses_bad_arguments():
+    with pytest.raises(ValueError, match="^hypergraph is not 3-uniform$"):
+        check_sparsity(Hypergraph(4, [(0, 1), (1, 2, 3)]), 16, 3)
+    with pytest.raises(ValueError, match="^need m >= 1, got m=0$"):
+        check_sparsity(Hypergraph(4, [(0, 1, 2)]), 0, 3)
+    with pytest.raises(ValueError, match="^need s >= 2, got s=1$"):
+        check_sparsity(Hypergraph(4, [(0,), (1,)]), 4, 1)
+
+
 def test_brute_force_matches_examples():
     h = Hypergraph(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
     verdict = brute_force_sparsity(h, 16, 3)
