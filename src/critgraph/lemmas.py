@@ -94,10 +94,12 @@ def find_small_cut(h: Hypergraph) -> CutWitness:
 
     When some edge e0 has size >= 3: delete e0, take the component C of the
     smallest vertex outside e0, and cut at W = e0 & C; the span condition
-    forces |W| <= 2 and both remaining sides nonempty. Otherwise the
-    2-section is a graph of maximum degree <= 2 after dropping size-1
-    edges, where the lexicographically smallest disconnecting W of size
-    <= 2 is found directly.
+    forces |W| <= 2 and both remaining sides nonempty. Otherwise each
+    component of the 2-section, the graph of the size-2 edges, is a tree
+    or has one cycle. So for n >= 4 a W of at most 2 vertices cuts it:
+    none if it is disconnected, else an internal tree vertex, two
+    non-adjacent vertices of a pure cycle, or a cycle vertex carrying a
+    pendant tree. A scan finds the lexicographically smallest one.
     """
     if h.n < 4:
         raise ValueError(f"need at least 4 vertices, got {h.n}")
@@ -127,9 +129,8 @@ def find_small_cut(h: Hypergraph) -> CutWitness:
         _validate_cut(g, witness, h)
         return witness
 
-    # All edges have size <= 2; size-1 edges do not affect the 2-section,
-    # so the graph has max degree <= 2 here and a tiny brute-force scan in
-    # lexicographic order finds the smallest valid cut set.
+    # All edges have size <= 2 (size-1 ones leave the 2-section alone):
+    # scan the cut sets of at most 2 vertices in lexicographic order.
     candidates: list[tuple[int, ...]] = [()]
     candidates += [(v,) for v in range(h.n)]
     candidates += list(combinations(range(h.n), 2))
@@ -194,7 +195,12 @@ def require_within_cap(ns, max_edges: int, sizes: set[int], cap: int = ENUMERATI
     """Raise CapExceeded unless enumerating every labelled hypergraph with
     at most max_edges edges of the given sizes, summed over every vertex
     count in ns, stays within cap. Arithmetic only: nothing is enumerated,
-    and the count stops as soon as it passes cap (every term is >= 0)."""
+    and the count stops as soon as it passes cap (every term is >= 0).
+    With no edges each n adds only the empty edge set: the count is len(ns)."""
+    if max_edges == 0:
+        if len(ns) > cap:
+            raise CapExceeded(f"more than {cap} hypergraphs (counted {len(ns)} before stopping)")
+        return
     total = 0
     for n in ns:
         count = sum(math.comb(n, size) for size in sizes if 1 <= size <= n)

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from .hypergraph import Hypergraph, cycle_ranks
 
@@ -109,73 +111,72 @@ def _incidence_core(masks) -> list[int]:
         core = kept
 
 
-def _min_cardinality_violator(masks, limit: int, s: int) -> list[int] | None:
-    """Smallest edge set (by cardinality, at most `limit`) whose union has
-    fewer than (s-1) times its size vertices, or None.
+def _min_cardinality_violator(h: Hypergraph, n_edges: int, limit: int, s: int) -> list[int] | None:
+    """Smallest F among h's first n_edges edges, by cardinality and at
+    most `limit`, whose union has fewer than (s-1)|F| vertices, or None.
 
     Iterative deepening on |F|: at each depth, grow candidate sets from
     every start edge by edges of larger index that intersect the running
-    union, with a forbidden set so each connected edge set is visited once.
-    Complete because an inclusion-minimal violator is connected under
-    pairwise-intersection reachability (splitting it into parts with
+    union. Complete because an inclusion-minimal violator is connected
+    under pairwise-intersection reachability (splitting it into parts with
     disjoint unions makes the excess additive, and each part alone is
-    non-violating by minimality, so the sum could not be negative), hence
-    reachable from its lowest-index edge. The first violator found has
-    globally minimum cardinality, smaller depths having been exhausted, and
-    is therefore inclusion-minimal: every proper subset is smaller and was
-    cleared.
+    non-violating by minimality), hence reachable from its lowest-index
+    edge. The first violator found has globally minimum cardinality,
+    smaller depths having been exhausted, so it is inclusion-minimal.
 
-    An inclusion-minimal violator F is connected with cycle rank
-    β(F) >= 2, so it lies in an intersection component of cycle rank
-    β >= 2 (see cycle_ranks), and in the incidence 2-core (see
-    _incidence_core). The search runs on the core of those components'
-    edges only, in ascending original index, with `limit` capped at its
-    size, and maps the positions it finds back. It returns exactly what
-    the search over all of `masks` would, tuple order included: a
-    candidate set is always the list of chosen edges, so a set made only
-    of kept edges is reached along the same path and in the same relative
-    order, the dropped edges having added only branches and forbidden
-    entries that such a set never uses. The first violator the full
-    search meets has minimum cardinality, hence lies in what is kept, and
-    is met first here too.
+    Such a violator F has cycle rank β(F) >= 2, so it lies in an
+    intersection component of cycle rank β >= 2 (see cycle_ranks), and in
+    the incidence 2-core (see _incidence_core). Only that core is searched,
+    in ascending original index. It gives exactly what the search over all
+    edges would, tuple order included: a set made only of kept edges is
+    reached along the same path, the dropped edges having added only
+    branches and forbidden entries that such a set never uses.
+
+    A node's state is two bitsets over core positions: `near`, the edges
+    meeting the union (the OR of meets[j] over the chosen j), and
+    `forbidden`, every edge up to the start edge plus each sibling explored
+    on the path. Its candidates, near & ~forbidden in ascending position,
+    never leave the start edge's component. As in the exclusive extension
+    of Wernicke's ESU (IEEE/ACM TCBB 2006), every set holding an explored
+    sibling was visited below it, so each connected set is visited once.
     """
+    masks = h.edge_masks[:n_edges]
     cyclic = [comp for comp, beta in cycle_ranks(masks) if beta >= 2]
     kept = [i for i, mask in enumerate(masks) if any(mask & comp for comp in cyclic)]
     core = [kept[i] for i in _incidence_core([masks[i] for i in kept])]
     masks = [masks[i] for i in core]
-    limit = min(limit, len(masks))
-    n_edges = len(masks)
+    limit = min(limit, len(core))
+    holders = [0] * h.n  # each vertex as the bitset of core edges holding it
+    for pos, i in enumerate(core):
+        for v in h.edges[i]:
+            holders[v] |= 1 << pos
+    meets = [reduce(or_, map(holders.__getitem__, h.edges[i])) for i in core]
 
-    def grow(
-        chosen: list[int], union: int, exc: int, start: int, forbidden: set[int], depth: int
-    ) -> list[int] | None:
+    def grow(chosen: list[int], union: int, exc: int, near: int, forbidden: int, depth: int) -> list[int] | None:
         remaining = depth - len(chosen)
-        if remaining <= 0:
-            return None
         # Adding an edge with t vertices already in the union changes the
         # excess by 1 - t >= 1 - s, so `remaining` steps drop it by at most
-        # remaining * (s - 1); prune when even that cannot reach -1.
+        # remaining * (s - 1); prune when even that cannot reach -1. Every
+        # node has exc >= 0, so this also stops one at full depth.
         if exc - remaining * (s - 1) > -1:
             return None
-        local_forbidden = set(forbidden)
-        local_forbidden.update(chosen)
-        for j in range(start + 1, n_edges):
-            if j in local_forbidden or not masks[j] & union:
-                continue
-            overlap = (masks[j] & union).bit_count()
-            new_exc = exc + 1 - overlap
-            new_chosen = chosen + [j]
+        candidates = near & ~forbidden
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            forbidden |= low
+            j = low.bit_length() - 1
+            new_exc = exc + 1 - (masks[j] & union).bit_count()
             if new_exc <= -1:
-                return new_chosen
-            found = grow(new_chosen, union | masks[j], new_exc, start, local_forbidden, depth)
+                return chosen + [j]
+            found = grow(chosen + [j], union | masks[j], new_exc, near | meets[j], forbidden, depth)
             if found is not None:
                 return found
-            local_forbidden.add(j)
         return None
 
     for depth in range(2, limit + 1):
-        for start in range(n_edges):
-            found = grow([start], masks[start], 1, start, set(), depth)
+        for start in range(len(core)):
+            found = grow([start], masks[start], 1, meets[start], (2 << start) - 1, depth)
             if found is not None:
                 return [core[i] for i in found]
     return None
@@ -200,13 +201,12 @@ def check_sparsity(h: Hypergraph, m: int, s: int) -> SparsityVerdict:
     if s < 2:
         raise ValueError(f"need s >= 2, got s={s}")
 
-    masks = h.edge_masks
-    limit = min(m, len(masks))
+    n_edges, limit = len(h.edges), min(m, len(h.edges))
     forced = forced_violator_size(h.n, s)
     dense = forced <= limit
     if dense:
-        masks, limit = masks[:forced], forced
-    found = _min_cardinality_violator(masks, limit=limit, s=s)
+        n_edges = limit = forced
+    found = _min_cardinality_violator(h, n_edges, limit, s)
     if found is None and dense:
         raise RuntimeError("counting bound guarantees a violator in the prefix")
     violator = None if found is None else Violator(tuple(found), union_size(h, found))

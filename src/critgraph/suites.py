@@ -186,7 +186,8 @@ def small_cut_suite(
     _at_least("min_n", min_n, 4)
     _at_least("max_n", max_n, min_n)
     _at_least("max_edges", max_edges, 0)
-    require_within_cap(range(min_n, max_n + 1), max_edges, sizes)
+    # Each n lists every candidate edge even at max_edges 0: count at least the one-edge sets.
+    require_within_cap(range(min_n, max_n + 1), max(max_edges, 1), sizes)
     report = SuiteReport("blocks")
     for n in range(min_n, max_n + 1):
         _small_cut_walk(n, max_edges, sizes, report)

@@ -721,11 +721,15 @@ def test_cli_lemma_check_obs1_cap_exceeded():
     [(["--suite", "obs1", "--max-n", "1000000"], 51742185),
      (["--suite", "obs1", "--max-n", "10000000"], 51742185),
      (["--suite", "blocks", "--max-n", "30", "--max-edges", "100000"], 9781448),
-     (["--suite", "obs1", "--max-n", "40", "--max-edges", "1000000"], 7121583)],
+     (["--suite", "obs1", "--max-n", "40", "--max-edges", "1000000"], 7121583),
+     (["--suite", "obs1", "--max-n", "10000000", "--max-edges", "0"], 10000000),
+     (["--suite", "blocks", "--max-n", "150", "--max-edges", "0"], 6210922)],
 )
 def test_cli_lemma_check_refuses_an_over_cap_request_at_once(argv, counted):
     # The count stops as soon as it passes the cap: summing these whole
-    # requests takes seconds to minutes.
+    # requests takes seconds to minutes. With no edges obs1 counts one
+    # hypergraph per n in one step, and blocks counts each n's candidate
+    # edges, which it builds for every n even then.
     code, stdout, stderr, elapsed = _limited_process(["lemma-check", *argv])
     assert (code, stdout) == (3, "")
     assert stderr == f"cap exceeded: more than 6000000 hypergraphs (counted {counted} before stopping)\n"
@@ -786,6 +790,15 @@ def test_cli_lemma_check_smallest_requests_pass(capsys):
     out = capsys.readouterr().out
     assert "suite obs1: checked=1 skipped=0" in out
     assert "suite blocks: checked=1 skipped=0" in out
+
+
+def test_cli_lemma_check_passes_an_edgeless_request_at_once():
+    # Counting the empty hypergraph of each n one n at a time took 3.5 s.
+    code, stdout, stderr, elapsed = _limited_process(
+        ["lemma-check", "--suite", "obs1", "--max-n", "3000000", "--max-edges", "0"]
+    )
+    assert (code, stdout, stderr) == (0, "suite obs1: checked=1 skipped=0 counterexamples=0 -> PASS\n", "")
+    assert elapsed < 1.0
 
 
 def _limited_process(argv, seconds=10) -> tuple[int, str, str, float]:

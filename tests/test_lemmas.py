@@ -88,6 +88,10 @@ def test_find_small_cut_examples():
     c4 = find_small_cut(Hypergraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
     assert c4.w == (0, 2)
 
+    # A 2-section of size-2 edges may have any degree: the star K_{1,4}.
+    star = find_small_cut(Hypergraph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]))
+    assert (star.w, star.side_a, star.side_b) == ((0,), (1,), (2, 3, 4))
+
 
 def test_find_small_cut_brute_force_confirms_example():
     # Independent confirmation that deleting {2} disconnects the 2-section.

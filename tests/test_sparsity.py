@@ -4,7 +4,7 @@ import time
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 import reference_sparsity
@@ -300,3 +300,65 @@ def test_brute_force_violators_lie_in_core(h):
     slow = brute_force_sparsity(h, 16, 3)
     if slow.violator is not None:
         assert set(slow.violator.edge_indices) <= set(_incidence_core(h.edge_masks))
+
+
+@st.composite
+def bicycle_shapes(draw, s: int):
+    """Berge chains (see berge_chains) of a theta, a dumbbell or a
+    figure-eight of 2 to 4 chains on branch vertices 0 and 1. With more
+    chains than a bicycle needs the cycle rank is 3 or 4, and the smallest
+    violators are the bicycles inside it."""
+    loop = st.integers(3 if s == 2 else 2, 3)
+    shape = draw(st.sampled_from(["theta", "dumbbell", "figure-eight"]))
+    if shape == "theta":
+        lengths = draw(st.lists(st.integers(1, 3), min_size=3, max_size=4))
+        assume(s > 2 or lengths.count(1) <= 1)  # no repeated 2-edge
+        return [(0, 1, length) for length in lengths]
+    if shape == "dumbbell":
+        paths = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+        assume(s > 2 or paths.count(1) <= 1)
+        return [(0, 0, draw(loop)), (1, 1, draw(loop)), *[(0, 1, length) for length in paths]]
+    return [(0, 0, draw(loop)) for _ in range(draw(st.integers(2, 4)))]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_bicycle_components_side_by_side_equal_reference_and_brute_force(data):
+    # Up to three bicycle components beside a bicycles_beside_trees draw
+    # and a Berge cycle, relabelled so that their edge indices interleave.
+    # Each component's smallest violator comes from brute force on it
+    # alone; a violator is connected, so h holds exactly below the
+    # smallest of them, and m is drawn around it.
+    s = data.draw(st.integers(2, 5), label="s")
+    beside, smallest = data.draw(bicycles_beside_trees(s=s), label="beside")
+    n, edges = beside.n, list(beside.edges)
+    for _ in range(data.draw(st.integers(1, 3), label="components")):
+        k, part = berge_chains(s, data.draw(bicycle_shapes(s), label="chains"))
+        alone = brute_force_sparsity(Hypergraph(k, part), len(part), s)
+        smallest = min(smallest, len(alone.violator.edge_indices))
+        edges += [tuple(v + n for v in e) for e in part]
+        n += k
+    k, cycle = berge_chains(s, [(0, 0, data.draw(st.integers(3, 8), label="cycle"))])
+    edges += [tuple(v + n for v in e) for e in cycle]
+    n += k
+    labels = data.draw(st.permutations(range(n)), label="labels")
+    h = Hypergraph(n, [tuple(labels[v] for v in e) for e in edges])
+    m = data.draw(st.integers(max(1, smallest - 2), smallest + 2), label="m")
+    verdict = check_sparsity(h, m, s)
+    assert verdict == reference_sparsity.check_sparsity(h, m, s)
+    assert verdict.holds == (m < smallest)
+
+
+def test_disjoint_thetas_return_the_first_thetas_violator_at_once():
+    # 60 disjoint thetas of three 4-edge chains: every start edge grows
+    # only inside its own theta. Scanning every later edge index from each
+    # node took 3.8 s; the first theta alone gives the same violator.
+    n, edges = berge_chains(4, [(2 * i, 2 * i + 1, 4) for i in range(60) for _ in range(3)])
+    h = Hypergraph(n, edges)
+    first = Hypergraph(n, edges[:12])
+    start = time.perf_counter()
+    verdict = check_sparsity(h, 32, 4)
+    assert time.perf_counter() - start < 1.0
+    alone = check_sparsity(first, 32, 4).violator.edge_indices
+    assert [h.edges[i] for i in verdict.violator.edge_indices] == [first.edges[i] for i in alone]
+    assert len(alone) == 12
